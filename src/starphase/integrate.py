@@ -6,32 +6,35 @@ accepted step, enabling cubic Hermite post-processing), a user stop
 predicate evaluated after each accepted step, and graceful handling of
 stages that leave the field's domain (the step is shrunk instead of
 aborting, so domain exit is reported at the boundary, not past it).
+
+The step loop runs on plain floats, since numpy's per-call overhead
+outweighs the arithmetic of a planar state: the state is a tuple of
+floats, ``field(t, y)`` and ``stop(t, y)`` receive that tuple, and
+``field`` returns a sequence of floats.  numpy only assembles the result.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
 
-# Dormand-Prince 5(4) tableau; the propagated solution is 5th order and
-# the embedded 4th-order difference drives the error estimate.  FSAL:
-# the last stage equals the first stage of the accepted next step.
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_ERR = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920,
-                 -17253 / 339200, 22 / 525, -1 / 40])
+# Dormand-Prince 5(4) tableau without its zero entries; the propagated
+# solution is 5th order and the embedded 4th-order difference drives the
+# error estimate.  FSAL: the last stage is the next step's first stage.
+_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
+_A21, _A31, _A32 = 1 / 5, 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = (9017 / 3168, -355 / 33, 46732 / 5247,
+                                49 / 176, -5103 / 18656)
+_B1, _B3, _B4, _B5, _B6 = (35 / 384, 500 / 1113, 125 / 192, -2187 / 6784,
+                           11 / 84)
+_E1, _E3, _E4, _E5, _E6, _E7 = (71 / 57600, -71 / 16695, 71 / 1920,
+                                -17253 / 339200, 22 / 525, -1 / 40)
 
 _ORDER = 5
 _SAFETY = 0.9
@@ -54,7 +57,7 @@ class OdeSolution:
     ``t`` holds the accepted times, ``y`` the states (n, dim) and ``f``
     the field values at those states; ``status`` is one of ``finished``
     (reached max_time), ``stopped`` (stop predicate fired), ``max_steps``
-    or ``domain_exit``.
+    or ``domain_exit``.  ``nfev`` counts every call of the field.
     """
 
     t: np.ndarray
@@ -63,17 +66,7 @@ class OdeSolution:
     status: str
     steps: int
     rejected: int
-
-
-def _initial_step(f0: np.ndarray, y0: np.ndarray, rtol: float, atol: float) -> float:
-    scale = atol + rtol * np.abs(y0)
-    d0 = float(np.max(np.abs(y0) / scale))
-    d1 = float(np.max(np.abs(f0) / scale))
-    if d0 < 1e-5 or d1 < 1e-5:
-        h = 1e-6
-    else:
-        h = 0.01 * d0 / d1
-    return h
+    nfev: int
 
 
 def integrate_adaptive(field, t0: float, y0, max_time: float, *,
@@ -84,12 +77,16 @@ def integrate_adaptive(field, t0: float, y0, max_time: float, *,
     Parameters
     ----------
     field : callable
-        ``field(t, y) -> ndarray``; may raise DomainError, in which case
-        the offending step is shrunk and, below the minimal step size,
-        the run ends with status ``domain_exit``.
+        ``field(t, y) -> sequence of floats``, where ``y`` is a tuple of
+        floats; may raise DomainError, in which case the offending step
+        is shrunk and, below the minimal step size, the run ends with
+        status ``domain_exit``.
+    y0 : sequence of float
+        Initial state, converted to a tuple of floats.
     stop : callable, optional
-        ``stop(t, y) -> bool`` checked after every accepted step; a
-        truthy value ends the run with status ``stopped``.
+        ``stop(t, y) -> bool`` checked after every accepted step with the
+        new state as a tuple of floats; a truthy value ends the run with
+        status ``stopped``.
 
     Notes
     -----
@@ -99,19 +96,22 @@ def integrate_adaptive(field, t0: float, y0, max_time: float, *,
     controller.
     """
     t = float(t0)
-    y = np.asarray(y0, dtype=float).copy()
-    k = np.empty((7, y.size))
+    y = tuple(map(float, y0))
+    nfev = 1
     try:
-        f0 = np.asarray(field(t, y), dtype=float)
+        k0 = field(t, y)
     except DomainError:
         raise DomainError("initial state outside the field domain")
-    k[0] = f0
 
     ts = [t]
-    ys = [y.copy()]
-    fs = [f0.copy()]
+    ys = [y]
+    fs = [k0]
 
-    h = _initial_step(f0, y, rtol, atol)
+    # initial step from the scaled sizes of the state and its derivative
+    scale = [atol + rtol * abs(v) for v in y]
+    d0 = max(abs(v) / s for v, s in zip(y, scale))
+    d1 = max(abs(f) / s for f, s in zip(k0, scale))
+    h = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h = min(h, max_time - t0)
     err_prev = 1.0
     status = FINISHED
@@ -129,27 +129,50 @@ def integrate_adaptive(field, t0: float, y0, max_time: float, *,
             break
 
         try:
-            for i in range(1, 7):
-                yi = y + h * (_A[i] @ k[:i])
-                k[i] = field(t + _C[i] * h, yi)
+            nfev += 1
+            k1 = field(t + _C2 * h, tuple([
+                v + h * (_A21 * a) for v, a in zip(y, k0)]))
+            nfev += 1
+            k2 = field(t + _C3 * h, tuple([
+                v + h * (_A31 * a + _A32 * b) for v, a, b in zip(y, k0, k1)]))
+            nfev += 1
+            k3 = field(t + _C4 * h, tuple([
+                v + h * (_A41 * a + _A42 * b + _A43 * c)
+                for v, a, b, c in zip(y, k0, k1, k2)]))
+            nfev += 1
+            k4 = field(t + _C5 * h, tuple([
+                v + h * (_A51 * a + _A52 * b + _A53 * c + _A54 * d)
+                for v, a, b, c, d in zip(y, k0, k1, k2, k3)]))
+            nfev += 1
+            k5 = field(t + h, tuple([
+                v + h * (_A61 * a + _A62 * b + _A63 * c + _A64 * d
+                         + _A65 * e)
+                for v, a, b, c, d, e in zip(y, k0, k1, k2, k3, k4)]))
+            y_new = tuple([
+                v + h * (_B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * f)
+                for v, a, c, d, e, f in zip(y, k0, k2, k3, k4, k5)])
+            nfev += 1
+            k6 = field(t + h, y_new)
         except DomainError:
             h *= 0.25
             rejected += 1
             continue
 
-        y_new = y + h * (_B5 @ k)
-        err_vec = h * (_ERR @ k)
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err = float(np.sqrt(np.mean(np.square(err_vec / scale))))
+        sq = 0.0
+        for v, vn, a, c, d, e, f, g in zip(y, y_new, k0, k2, k3, k4, k5, k6):
+            r = (h * (_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * f
+                      + _E7 * g) / (atol + rtol * max(abs(v), abs(vn))))
+            sq += r * r
+        err = math.sqrt(sq / len(y))
 
         if err <= 1.0:
             t += h
             y = y_new
-            k[0] = k[6]  # FSAL
+            k0 = k6  # FSAL
             steps += 1
             ts.append(t)
-            ys.append(y.copy())
-            fs.append(k[6].copy())
+            ys.append(y)
+            fs.append(k6)
             if stop is not None and stop(t, y):
                 status = STOPPED
                 break
@@ -163,8 +186,9 @@ def integrate_adaptive(field, t0: float, y0, max_time: float, *,
             rejected += 1
             h *= min(1.0, max(_MIN_FACTOR, _SAFETY * err ** (-1.0 / _ORDER)))
 
-    return OdeSolution(t=np.array(ts), y=np.array(ys), f=np.array(fs),
-                       status=status, steps=steps, rejected=rejected)
+    return OdeSolution(t=np.array(ts), y=np.array(ys),
+                       f=np.array(fs, dtype=float), status=status,
+                       steps=steps, rejected=rejected, nfev=nfev)
 
 
 def hermite_extremum_max(t0: float, t1: float, p0: float, p1: float,

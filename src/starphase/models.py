@@ -76,8 +76,9 @@ class ModelSpec:
         if self.family is Family.SCALED_RELATIVISTIC:
             if self.scale is None:
                 object.__setattr__(self, "scale", 8.0 * math.pi)
-            if self.scale <= 0.0:
-                raise ValueError(f"scale must be positive, got {self.scale}")
+            if not (math.isfinite(self.scale) and self.scale > 0.0):
+                raise ValueError(
+                    f"scale must be positive and finite, got {self.scale}")
         elif self.scale is not None:
             raise ValueError("scale is only meaningful for the scaled family")
 
@@ -154,8 +155,8 @@ def make_model(spec: ModelSpec) -> SystemModel:
     fam = spec.family
     if fam is Family.NONRELATIVISTIC:
         z, w, x0 = 2.0, 2.0, 2.0
-        a = lambda x: 2.0 - np.asarray(x, dtype=float)
-        b = lambda x: np.asarray(x, dtype=float) * 0.0
+        a = lambda x: 2.0 - x
+        b = lambda x: x * 0.0
         a_prime = lambda x: np.asarray(x, dtype=float) * 0.0 - 1.0
         b_prime = lambda x: np.asarray(x, dtype=float) * 0.0
         A_raw = lambda x: 2.0 * x - np.square(x) / 2.0
@@ -165,7 +166,7 @@ def make_model(spec: ModelSpec) -> SystemModel:
     elif fam is Family.STIFF_RELATIVISTIC:
         z, w, x0 = 0.5, 1.0 / 3.0, 2.0 / 3.0
         a = lambda x: (2.0 - 3.0 * x) / (1.0 - x)
-        b = lambda x: 1.0 / (1.0 - np.asarray(x, dtype=float))
+        b = lambda x: 1.0 / (1.0 - x)
         a_prime = lambda x: -1.0 / np.square(1.0 - x)
         b_prime = lambda x: 1.0 / np.square(1.0 - x)
         A_raw = lambda x: 3.0 * x + np.log1p(-x)
@@ -176,7 +177,7 @@ def make_model(spec: ModelSpec) -> SystemModel:
         s = spec.scale
         z, w, x0 = 1.0 / (2.0 * s), 1.0 / (3.0 * s), 2.0 / (3.0 * s)
         a = lambda x: (2.0 - 3.0 * s * x) / (1.0 - s * x)
-        b = lambda x: s / (1.0 - s * np.asarray(x, dtype=float))
+        b = lambda x: s / (1.0 - s * x)
         a_prime = lambda x: -s / np.square(1.0 - s * x)
         b_prime = lambda x: s * s / np.square(1.0 - s * x)
         A_raw = lambda x: 3.0 * x + np.log1p(-s * x) / s
@@ -191,7 +192,7 @@ def make_model(spec: ModelSpec) -> SystemModel:
         w = 4.0 * k / (3.0 * k * k + 8.0 * k + 1.0)
         x0 = 4.0 * k / (1.0 + 5.0 * k)
         a = lambda x: 2.0 - beta * x / (1.0 - x)
-        b = lambda x: gamma / (1.0 - np.asarray(x, dtype=float))
+        b = lambda x: gamma / (1.0 - x)
         a_prime = lambda x: -beta / np.square(1.0 - x)
         b_prime = lambda x: gamma / np.square(1.0 - x)
         A_raw = lambda x: (2.0 + beta) * x + beta * np.log1p(-x)

@@ -56,6 +56,8 @@ class Trajectory:
     ``status`` is ``converged-radius`` or ``converged-lyapunov`` on
     arrival, otherwise ``max_time``, ``max_steps`` or ``domain_exit``
     (the last state is retained so callers can report the exit point).
+    ``rejected`` and ``nfev`` are the integrator's work counters; they
+    are not part of ``to_dict()``.
     """
 
     model: SystemModel
@@ -67,6 +69,8 @@ class Trajectory:
     converged: bool
     status: str
     steps: int
+    rejected: int = 0
+    nfev: int = 0
     config: IntegratorConfig | None = field(repr=False, default=None)
 
     @property
@@ -107,25 +111,32 @@ def shoot_heteroclinic(m: SystemModel,
     Returns a Trajectory whose ``converged`` flag is set only on arrival;
     domain exit or budget exhaustion is reported through ``status``
     rather than raised, so the caller can inspect the last state.
+    Raises ValueError unless ``cfg.eps_start < w``, which puts the launch
+    point inside the trap region.
     """
     eps = cfg.eps_start
-    y0 = np.array([eps, (m.a0 + 1.0) * eps])
+    if eps >= m.w:
+        raise ValueError(f"eps_start must lie below w = {m.w!r} (launch "
+                         f"inside the trap region), got {eps!r}")
+    y0 = (eps, (m.a0 + 1.0) * eps)
     guard = max(DOMAIN_GUARD, 1e-9 * m.x_max if math.isfinite(m.x_max) else 0.0)
+    a, b, A, B, z = m.a, m.b, m.A, m.B, m.z
 
     def fieldfn(t, s):
         x, y = s
         if not (0.0 <= x < m.x_max - guard) or y < 0.0:
             raise DomainError("state left the admissible domain")
-        return np.array([y - x,
-                         float(m.a(x)) * y - float(m.b(x)) * y * y])
+        return (y - x, a(x) * y - b(x) * y * y)
 
     r2 = cfg.converge_radius ** 2
 
     def arrived(t, s):
-        if (s[0] - m.z) ** 2 + (s[1] - m.z) ** 2 <= r2:
+        # V on floats; the field validated this state at the FSAL stage
+        x, y = s
+        if (x - z) ** 2 + (y - z) ** 2 <= r2:
             return True
-        return (s[1] > 0.0
-                and lyapunov_value(m, s[0], s[1]) <= cfg.v_threshold)
+        return (y > 0.0 and z * B(x) - A(x) + y - z - z * math.log(y / z)
+                <= cfg.v_threshold)
 
     sol = integrate.integrate_adaptive(
         fieldfn, 0.0, y0, cfg.max_time, rtol=cfg.rel_tol, atol=cfg.abs_tol,
@@ -156,7 +167,8 @@ def shoot_heteroclinic(m: SystemModel,
 
     return Trajectory(model=m, t=sol.t, x=xs, y=ys, V=np.asarray(V),
                       max_x=max_x, converged=converged, status=status,
-                      steps=sol.steps, config=cfg)
+                      steps=sol.steps, rejected=sol.rejected, nfev=sol.nfev,
+                      config=cfg)
 
 
 def verify_lyapunov_monotone(traj: Trajectory) -> float:

@@ -29,6 +29,12 @@ class TestAnalyze:
         doc = json.loads(path.read_text())
         assert doc["equilibrium"]["w"] == pytest.approx(1.0 / 3.0)
 
+    def test_nan_scale_exit_3(self, capsys):
+        code, _, err = run(capsys, "analyze", "--model", "scaled",
+                           "--scale", "nan")
+        assert code == 3
+        assert "scale" in err
+
     def test_kappa_flag(self, capsys):
         code, out, _ = run(capsys, "analyze", "--model", "kappa",
                            "--kappa", "0.5")
@@ -91,6 +97,12 @@ class TestTrajectory:
         doc = json.loads(path.read_text())
         assert doc["converged"] is True
         assert 0.53 <= doc["max_x"] <= 0.57
+
+    def test_launch_outside_trap_region_exit_3(self, capsys):
+        code, _, err = run(capsys, "trajectory", "--model", "stiff",
+                           "--eps", "0.6")
+        assert code == 3
+        assert "eps_start" in err
 
     def test_nonconvergence_exit_4(self, capsys):
         code, _, err = run(capsys, "trajectory", "--model", "stiff",

@@ -10,7 +10,7 @@ from starphase.errors import DomainError
 class TestAccuracy:
     def test_exponential_decay(self):
         sol = integrate.integrate_adaptive(
-            lambda t, y: -y, 0.0, [1.0], 5.0, rtol=1e-10, atol=1e-12)
+            lambda t, y: (-y[0],), 0.0, [1.0], 5.0, rtol=1e-10, atol=1e-12)
         assert sol.status == integrate.FINISHED
         assert sol.t[-1] == 5.0
         assert sol.y[-1, 0] == pytest.approx(math.exp(-5.0), rel=1e-8)
@@ -45,7 +45,7 @@ class TestControlFlow:
 
     def test_max_steps(self):
         sol = integrate.integrate_adaptive(
-            lambda t, y: -y, 0.0, [1.0], 1e6, max_steps=10)
+            lambda t, y: (-y[0],), 0.0, [1.0], 1e6, max_steps=10)
         assert sol.status == integrate.MAX_STEPS
         assert sol.steps == 10
 
@@ -72,6 +72,52 @@ class TestControlFlow:
         sol = integrate.integrate_adaptive(f, 0.0, [1.0, 0.0], 5.0)
         assert np.all(np.diff(sol.t) > 0.0)
         np.testing.assert_allclose(sol.f[:, 0], sol.y[:, 1], atol=1e-12)
+
+
+class TestFloatContract:
+    def test_field_and_stop_receive_float_tuples(self):
+        seen = []
+
+        def f(t, y):
+            seen.append(y)
+            return (y[1], -y[0])
+
+        def stop(t, y):
+            seen.append(y)
+            return False
+
+        integrate.integrate_adaptive(f, 0.0, np.array([1.0, 0.0]), 2.0,
+                                     stop=stop)
+        assert len(seen) > 7
+        for y in seen:
+            assert type(y) is tuple and len(y) == 2
+            assert all(type(v) is float for v in y)
+
+    def test_nfev_counts_every_field_call(self):
+        calls = [0]
+
+        def f(t, y):
+            calls[0] += 1
+            return (y[1], -y[0])
+
+        sol = integrate.integrate_adaptive(f, 0.0, [1.0, 0.0], 5.0)
+        assert sol.nfev == calls[0]
+        # FSAL: one initial call, then six per attempted step
+        assert sol.nfev == 1 + 6 * (sol.steps + sol.rejected)
+
+    def test_nfev_counts_calls_that_leave_the_domain(self):
+        calls = [0]
+
+        def f(t, y):
+            calls[0] += 1
+            if y[0] > 1.0:
+                raise DomainError("beyond the wall")
+            return (1.0,)
+
+        sol = integrate.integrate_adaptive(f, 0.0, [0.0], 10.0)
+        assert sol.status == integrate.DOMAIN_EXIT
+        assert sol.rejected > 0
+        assert sol.nfev == calls[0]
 
 
 class TestHermiteMax:

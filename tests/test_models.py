@@ -43,6 +43,16 @@ class TestModelSpec:
         with pytest.raises(ValueError):
             sp.ModelSpec(sp.Family.SCALED_RELATIVISTIC, scale=scale)
 
+    @pytest.mark.parametrize("scale", [math.nan, math.inf, -math.inf])
+    def test_scale_finite(self, scale):
+        with pytest.raises(ValueError, match="scale"):
+            sp.model("scaled", scale=scale)
+
+    @pytest.mark.parametrize("kappa", [math.nan, math.inf, -math.inf])
+    def test_kappa_finite(self, kappa):
+        with pytest.raises(ValueError, match="kappa"):
+            sp.model("kappa", kappa=kappa)
+
     def test_default_scale_is_8pi(self):
         spec = sp.ModelSpec(sp.Family.SCALED_RELATIVISTIC)
         assert spec.scale == 8.0 * math.pi
@@ -116,6 +126,12 @@ class TestFamilies:
         np.testing.assert_allclose(msc.A(xs),
                                    np.asarray(mst.A(sigma * xs)) / sigma,
                                    atol=1e-14)
+
+
+    def test_coefficients_keep_float_type(self, models):
+        for name, m in models.items():
+            assert type(m.a(0.25 * m.z)) is float, name
+            assert type(m.b(0.25 * m.z)) is float, name
 
 
 class TestEvalField:

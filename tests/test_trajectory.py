@@ -16,6 +16,16 @@ ORACLE_MAX_X = {
     "scaled": 0.0216300974122662,
 }
 
+# accepted steps and refined peak of the default shoots, frozen from the
+# array-based step loop that the float loop replaced
+SEED_STEPS = {"stiff": 534, "nonrel": 717, "kappa": 605, "scaled": 405}
+SEED_MAX_X = {
+    "stiff": 0.5436236411272519,
+    "nonrel": 2.517551324248397,
+    "kappa": 0.49263895045690304,
+    "scaled": 0.021630097412663977,
+}
+
 X_NONREL_BOUND = 2.0 + 2.0 * math.sqrt(2.0 - math.log(3.0))  # 3.8988288...
 
 
@@ -44,6 +54,12 @@ class TestShoot:
     def test_max_x_matches_scipy_oracle(self, trajectories, name):
         assert trajectories[name].max_x == pytest.approx(
             ORACLE_MAX_X[name], abs=5e-8)
+
+    @pytest.mark.parametrize("name", list(SEED_STEPS))
+    def test_step_loop_reproduces_seed(self, trajectories, name):
+        traj = trajectories[name]
+        assert traj.steps == SEED_STEPS[name]
+        assert abs(traj.max_x - SEED_MAX_X[name]) <= 1e-12
 
     def test_stiff_arrives_at_interior_point(self, trajectories):
         x, y = trajectories["stiff"].final_state
@@ -238,6 +254,51 @@ class TestIsocline:
             sp.isocline_x(m, 1.5)
         with pytest.raises(sp.DomainError):
             sp.isocline_x(m, -0.1)
+
+
+class TestLaunch:
+    @pytest.mark.parametrize("eps", [0.6, 1.0 / 3.0])
+    def test_launch_outside_trap_region_rejected(self, models, eps):
+        with pytest.raises(ValueError, match="eps_start"):
+            sp.shoot_heteroclinic(models["stiff"],
+                                  IntegratorConfig(eps_start=eps))
+
+    def test_launch_just_inside_accepted(self, models):
+        m = models["stiff"]
+        traj = sp.shoot_heteroclinic(m, IntegratorConfig(eps_start=0.3))
+        assert traj.max_x < sp.bound_X(m).X_numeric
+
+
+class TestWorkCounters:
+    def test_counters_recorded(self, trajectories):
+        for name, traj in trajectories.items():
+            assert traj.nfev >= 1 + 6 * traj.steps, name
+            assert traj.rejected >= 0, name
+
+    def test_nfev_matches_field_calls(self, models, monkeypatch):
+        from starphase import integrate
+
+        calls = [0]
+        original = integrate.integrate_adaptive
+
+        def counting(field, *args, **kwargs):
+            def wrapped(t, y):
+                calls[0] += 1
+                return field(t, y)
+            return original(wrapped, *args, **kwargs)
+
+        monkeypatch.setattr(integrate, "integrate_adaptive", counting)
+        traj = sp.shoot_heteroclinic(models["kappa"])
+        assert traj.nfev == calls[0]
+
+    def test_counters_default_and_not_exported(self, trajectories):
+        t = trajectories["stiff"]
+        bare = sp.Trajectory(model=t.model, t=t.t, x=t.x, y=t.y, V=t.V,
+                             max_x=t.max_x, converged=True, status=t.status,
+                             steps=t.steps)
+        assert bare.rejected == 0 and bare.nfev == 0
+        doc = t.to_dict()
+        assert "rejected" not in doc and "nfev" not in doc
 
 
 class TestConfig:
