@@ -15,7 +15,7 @@ is inverted by the bounds module to turn an energy excess into an x bound.
 
 from __future__ import annotations
 
-import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,15 +80,27 @@ class LevelSetGrid:
 
     def to_csv(self, path) -> None:
         """Write rows ``x,y,V,valid``; V is empty for invalid cells."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x", "y", "V", "valid"])
-            for i, xv in enumerate(self.xs):
-                for j, yv in enumerate(self.ys):
-                    ok = bool(self.valid[i, j])
-                    writer.writerow([repr(float(xv)), repr(float(yv)),
-                                     repr(float(self.values[i, j])) if ok else "",
-                                     int(ok)])
+        write_grid_csv(path, self, ("x", "y", "V", "valid"), (self.values,))
+
+
+def write_grid_csv(path, grid: LevelSetGrid, header, columns) -> None:
+    """One CSV row per grid node, x-major: x, y, one field per array in
+    ``columns`` (each shaped like the grid), then valid as 0 or 1.
+
+    Floats are written as ``repr``; the column fields of an invalid node
+    are empty.  The bytes equal those of ``csv.writer`` with its default
+    dialect: CRLF line ends, and no field here needs quoting.
+    """
+    ys = [repr(v) for v in grid.ys.tolist()]
+    blank = "," * (len(columns) + 1) + "0\r\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        # one x at a time keeps the formatted text small
+        for i, x in enumerate(map(repr, grid.xs.tolist())):
+            fields = zip(*(map(repr, c[i].tolist()) for c in columns))
+            fh.write("".join(
+                f"{x},{y},{','.join(vals)},1\r\n" if ok else f"{x},{y}{blank}"
+                for y, ok, vals in zip(ys, grid.valid[i].tolist(), fields)))
 
 
 def level_set_grid(m: SystemModel, x_range, y_range,
@@ -98,6 +110,9 @@ def level_set_grid(m: SystemModel, x_range, y_range,
     Cells with x outside [0, x_max) or y <= 0 are flagged invalid rather
     than evaluated.
     """
+    if not all(math.isfinite(v) for v in (*x_range, *y_range)):
+        raise ValueError(f"plot box bounds must be finite, got x range "
+                         f"{tuple(x_range)} and y range {tuple(y_range)}")
     if nx < 1 or ny < 1 or x_range[1] < x_range[0] or y_range[1] < y_range[0]:
         raise ValueError("empty grid range")
     xs = np.linspace(x_range[0], x_range[1], nx)

@@ -2,17 +2,20 @@
 
 CSV is the authoritative format (one row per grid node with the field
 components and the Lyapunov value); the SVG rendering is a convenience
-view with normalised field arrows and Lyapunov level polylines obtained
-by marching squares on the sampled grid.
+view with normalised field arrows and Lyapunov level polylines.
+
+The polylines come from vectorised marching squares on the sampled
+grid: numpy computes each cell's 4-bit case from a 16-entry table and
+one crossing point per crossed grid edge, and the segments are chained
+through a dict keyed on integer edge ids, so that matching endpoints
+needs no float tolerance.
 """
 
 from __future__ import annotations
 
-import csv
-
 import numpy as np
 
-from .lyapunov import LevelSetGrid, level_set_grid
+from .lyapunov import LevelSetGrid, level_set_grid, write_grid_csv
 from .models import SystemModel
 
 
@@ -48,89 +51,102 @@ def portrait_csv(m: SystemModel, x_range, y_range, nx: int, ny: int,
                  path) -> None:
     """Rows ``x,y,dx,dy,V,valid`` over the grid."""
     grid, U, W = field_grid(m, x_range, y_range, nx, ny)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y", "dx", "dy", "V", "valid"])
-        for i, xv in enumerate(grid.xs):
-            for j, yv in enumerate(grid.ys):
-                ok = bool(grid.valid[i, j])
-                writer.writerow([
-                    repr(float(xv)), repr(float(yv)),
-                    repr(float(U[i, j])) if ok else "",
-                    repr(float(W[i, j])) if ok else "",
-                    repr(float(grid.values[i, j])) if ok else "",
-                    int(ok),
-                ])
+    write_grid_csv(path, grid, ("x", "y", "dx", "dy", "V", "valid"),
+                   (U, W, grid.values))
+
+
+def _case_segments():
+    """Segments of each 4-bit cell case as pairs of local edge indices.
+
+    Corner k of cell (i, j) is bit k of the case: (i, j), (i+1, j),
+    (i+1, j+1), (i, j+1).  Local edge e joins corners e and e+1 (mod 4),
+    so edges 0..3 are bottom, right, top, left.  The crossed edges are
+    taken in that order and paired 0-1 and 2-3; the second pair exists
+    only in the two saddle cases (5 and 10) and is -1 elsewhere.
+    """
+    table = np.full((16, 2, 2), -1)
+    for case in range(16):
+        bit = [(case >> k) & 1 for k in range(4)]
+        crossed = [e for e in range(4) if bit[e] != bit[(e + 1) % 4]]
+        for s in range(len(crossed) // 2):
+            table[case, s] = crossed[2 * s:2 * s + 2]
+    return table
+
+
+_CASE_SEGMENTS = _case_segments()
 
 
 def marching_squares(grid: LevelSetGrid, level: float) -> list:
     """Level-set polylines of V at one level, as lists of (x, y) points.
 
-    Plain per-cell marching squares with linear edge interpolation; the
-    per-cell segments are chained greedily into polylines.  Cells with
-    any invalid corner are skipped.
+    Marching squares with linear edge interpolation (Lorensen & Cline
+    1987).  numpy classifies every cell by its 4-bit case (a corner's bit
+    is set where V > level), skips cells with any invalid corner, and
+    interpolates one crossing point per crossed grid edge.  Segments join
+    crossed edges of a cell as in ``_case_segments``: in a saddle cell
+    the crossings, taken bottom, right, top, left, pair 0-1 and 2-3.
+
+    Each grid edge has an integer id: the horizontal edge (i, j)-(i+1, j)
+    is ``i*ny + j`` and the vertical edge (i, j)-(i, j+1) is
+    ``(nx-1)*ny + i*(ny-1) + j``.  Two segments join exactly where they
+    share an edge id, so chaining needs no float tolerance.  Open chains
+    start from their end ids in ascending order; the closed loops
+    follow, each from its smallest id, with the first point repeated at
+    the end.
     """
     xs, ys, V, ok = grid.xs, grid.ys, grid.values, grid.valid
-    segments = []
+    nx, ny = V.shape
+    above = (V > level).astype(np.intp)
+    case = (above[:-1, :-1] | above[1:, :-1] << 1 | above[1:, 1:] << 2
+            | above[:-1, 1:] << 3)
+    cell_ok = ok[:-1, :-1] & ok[1:, :-1] & ok[1:, 1:] & ok[:-1, 1:]
+    ci, cj = np.nonzero(cell_ok & (case != 0) & (case != 15))
 
-    def interp(pa, pb, va, vb):
-        t = 0.5 if vb == va else (level - va) / (vb - va)
-        return (pa[0] + t * (pb[0] - pa[0]), pa[1] + t * (pb[1] - pa[1]))
+    off = (nx - 1) * ny
+    edges = np.stack([ci * ny + cj, off + (ci + 1) * (ny - 1) + cj,
+                      ci * ny + cj + 1, off + ci * (ny - 1) + cj], axis=1)
+    pairs = _CASE_SEGMENTS[case[ci, cj]]
+    saddle = pairs[:, 1, 0] >= 0
+    segments = np.concatenate([
+        np.take_along_axis(edges, pairs[:, 0], axis=1),
+        np.take_along_axis(edges[saddle], pairs[saddle, 1], axis=1)])
 
-    for i in range(len(xs) - 1):
-        for j in range(len(ys) - 1):
-            if not (ok[i, j] and ok[i + 1, j] and ok[i, j + 1]
-                    and ok[i + 1, j + 1]):
-                continue
-            corners = [(xs[i], ys[j]), (xs[i + 1], ys[j]),
-                       (xs[i + 1], ys[j + 1]), (xs[i], ys[j + 1])]
-            vals = [V[i, j], V[i + 1, j], V[i + 1, j + 1], V[i, j + 1]]
-            pts = []
-            for a in range(4):
-                b = (a + 1) % 4
-                above_a, above_b = vals[a] > level, vals[b] > level
-                if above_a != above_b:
-                    pts.append(interp(corners[a], corners[b],
-                                      vals[a], vals[b]))
-            if len(pts) == 2:
-                segments.append((pts[0], pts[1]))
-            elif len(pts) == 4:  # saddle cell: keep both crossings
-                segments.append((pts[0], pts[1]))
-                segments.append((pts[2], pts[3]))
+    ids = np.unique(segments)
+    h, v = ids[ids < off], ids[ids >= off] - off
+    hi, hj = np.divmod(h, ny)
+    vi, vj = np.divmod(v, ny - 1)
+    th = (level - V[hi, hj]) / (V[hi + 1, hj] - V[hi, hj])
+    tv = (level - V[vi, vj]) / (V[vi, vj + 1] - V[vi, vj])
+    px = np.concatenate([xs[hi] + th * (xs[hi + 1] - xs[hi]), xs[vi]])
+    py = np.concatenate([ys[hj], ys[vj] + tv * (ys[vj + 1] - ys[vj])])
+    point = dict(zip(ids.tolist(), zip(px.tolist(), py.tolist())))
 
-    return _chain_segments(segments)
-
-
-def _chain_segments(segments, tol: float = 1e-12):
-    """Greedy merge of 2-point segments into longer polylines."""
+    nbrs = {}
+    for a, b in segments.tolist():
+        nbrs.setdefault(a, []).append(b)
+        nbrs.setdefault(b, []).append(a)
+    order = ids.tolist()
+    seen = set()
     polylines = []
-    remaining = list(segments)
-    while remaining:
-        a, b = remaining.pop()
-        line = [a, b]
-        grew = True
-        while grew:
-            grew = False
-            for idx, (p, q) in enumerate(remaining):
-                if _close(line[-1], p, tol):
-                    line.append(q)
-                elif _close(line[-1], q, tol):
-                    line.append(p)
-                elif _close(line[0], p, tol):
-                    line.insert(0, q)
-                elif _close(line[0], q, tol):
-                    line.insert(0, p)
-                else:
-                    continue
-                remaining.pop(idx)
-                grew = True
+    for start in [e for e in order if len(nbrs[e]) == 1] + order:
+        if start in seen:
+            continue
+        seen.add(start)
+        line = [point[start]]
+        prev, cur = None, start
+        while True:
+            adj = nbrs[cur]
+            nxt = adj[0] if adj[0] != prev else (
+                adj[1] if len(adj) > 1 else None)
+            if nxt is None:
                 break
+            line.append(point[nxt])
+            if nxt in seen:  # back at the start of a closed loop
+                break
+            seen.add(nxt)
+            prev, cur = cur, nxt
         polylines.append(line)
     return polylines
-
-
-def _close(p, q, tol):
-    return abs(p[0] - q[0]) <= tol and abs(p[1] - q[1]) <= tol
 
 
 def portrait_svg(m: SystemModel, x_range, y_range, nx: int, ny: int,
@@ -138,9 +154,12 @@ def portrait_svg(m: SystemModel, x_range, y_range, nx: int, ny: int,
                  height: int = 480) -> None:
     """Static SVG: normalised field arrows plus V level polylines."""
     grid, U, W = field_grid(m, x_range, y_range, nx, ny)
-
     x0, x1 = x_range
     y0, y1 = y_range
+    if not (x1 > x0 and y1 > y0):
+        raise ValueError(f"SVG plot box needs x1 > x0 and y1 > y0, got x "
+                         f"range {tuple(x_range)} and y range "
+                         f"{tuple(y_range)}")
     pad = 10.0
 
     def to_px(x, y):

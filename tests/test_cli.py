@@ -153,6 +153,33 @@ class TestPortrait:
                            "--out", str(tmp_path / "field.txt"))
         assert code == 3
 
+    def test_nan_range_exit_3(self, capsys, tmp_path):
+        path = tmp_path / "field.svg"
+        code, _, err = run(capsys, "portrait", "--model", "stiff",
+                           "--grid", "30,30", "--xrange", "nan:1",
+                           "--out", str(path))
+        assert code == 3
+        assert "finite" in err
+        assert not path.exists()
+
+    def test_infinite_range_exit_3(self, capsys, tmp_path):
+        path = tmp_path / "field.svg"
+        code, _, err = run(capsys, "portrait", "--model", "stiff",
+                           "--grid", "30,30", "--xrange", "0:inf",
+                           "--out", str(path))
+        assert code == 3
+        assert "finite" in err
+        assert not path.exists()
+
+    def test_degenerate_svg_box_exit_3(self, capsys, tmp_path):
+        path = tmp_path / "field.svg"
+        code, _, err = run(capsys, "portrait", "--model", "stiff",
+                           "--grid", "30,30", "--xrange", "0.1:0.1",
+                           "--out", str(path))
+        assert code == 3
+        assert "x1 > x0" in err
+        assert not path.exists()
+
 
 class TestMasstable:
     def test_plain(self, capsys):
