@@ -37,13 +37,11 @@ SI = "si"
 
 
 def _eos_kappa(m: SystemModel) -> float:
-    if m.family in (Family.STIFF_RELATIVISTIC, Family.SCALED_RELATIVISTIC):
-        return 1.0
-    if m.family is Family.KAPPA_FAMILY:
-        return m.spec.kappa
-    raise DomainError(
-        "nonrelativistic trajectories have no hydrostatic interpretation; "
-        "use a relativistic family")
+    if m.spec.ks is None:
+        raise DomainError(
+            "nonrelativistic trajectories have no hydrostatic interpretation; "
+            "use a relativistic family")
+    return m.spec.ks[0]
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,9 @@ principal Lambert W branch.  Both routes agree to well below 1e-9.
 For the kappa family two closed forms coexist:
 
 * the one derived here from the actual primitives (log coefficient
-  ``Q = (1 + 5k)(1 - z)/(2k)``), which matches the H inversion exactly
-  and is what ``bound_X`` reports as ``X_closed``;
+  ``Q = (2 + beta)(x_max - z)``, see ``closed_form_X``), which matches
+  the H inversion exactly and is what ``bound_X`` reports as
+  ``X_closed``;
 * the published corollary constants (``kappa_constants``), whose log
   coefficient differs for k != 1 and whose bound value is exposed as
   ``X_printed`` for reference and for the k = 1/3 literature comparison.
@@ -31,12 +32,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, HypothesisError
+from . import rootfind
+from .errors import ConvergenceError, DomainError, HypothesisError
 from .lambertw import lambert_w
 from .lyapunov import H
 from .models import (DOMAIN_GUARD, Family, ModelSpec, SystemModel, find_w,
                      find_z, make_model, r_factor)
-from .rootfind import solve_in
 
 #: demanded agreement between the closed form and the H inversion
 CLOSED_FORM_TOL = 1e-9
@@ -47,8 +48,9 @@ def excess_E(m: SystemModel) -> float:
 
     Positive whenever (a0 + 1) w > z (strictly above the Lyapunov
     minimum), zero only in the degenerate coincidence (a0 + 1) w = z.
+    Reads the model's closed-form w; ``find_w`` verifies it.
     """
-    s = (m.a0 + 1.0) * find_w(m)
+    s = (m.a0 + 1.0) * m.w
     if s < m.z:
         raise HypothesisError(f"(a0+1)w = {s} < z = {m.z}")
     return s - m.z - m.z * math.log(s / m.z)
@@ -58,8 +60,9 @@ def invert_H(m: SystemModel, level: float) -> float:
     """The unique x >= z with H(x) = level.
 
     H is strictly increasing on [z, x_max), so a bracketed root search
-    suffices; the right bracket end expands toward x_max (geometrically
-    for an unbounded domain, halving the gap to the pole otherwise).
+    suffices; its right bracket end walks toward x_max - DOMAIN_GUARD
+    (geometrically for an unbounded domain, halving the gap otherwise),
+    where H is still defined.
 
     Raises
     ------
@@ -69,53 +72,38 @@ def invert_H(m: SystemModel, level: float) -> float:
     """
     if level < 0.0:
         raise DomainError("H levels are nonnegative on [z, x_max)")
-    if level == 0.0:
-        return m.z
-    hi = None
-    for k in range(1, 200):
-        if math.isinf(m.x_max):
-            cand = m.z + 2.0 ** (k - 10)
-        else:
-            cand = m.x_max - (m.x_max - m.z) * 2.0 ** (-k)
-            if cand >= m.x_max - DOMAIN_GUARD:
-                break
-        if H(m, cand) >= level:
-            hi = cand
-            break
-    if hi is None:
+    try:
+        return rootfind.solve_bracketed(lambda x: H(m, x) - level, m.z,
+                                        m.x_max - DOMAIN_GUARD)
+    except ConvergenceError:
         sup = H(m, m.x_max - 2.0 * max(DOMAIN_GUARD, 1e-15 * m.x_max)) \
             if math.isfinite(m.x_max) else math.inf
         raise DomainError(
-            f"level {level} unreachable below x_max (sup H ~ {sup})")
-    return solve_in(lambda x: H(m, x) - level, m.z, hi)
+            f"level {level} unreachable below x_max (sup H ~ {sup})") from None
 
 
-#: Lambert argument of the stiff closed form, -2^(1/3) e^(-4/3)
+#: Lambert argument of the stiff closed form, -2^(1/3) e^(-4/3); the
+#: relativistic case of ``closed_form_X`` reduces to it at (k, s) = (1, 1)
 STIFF_LAMBERT_ARG = -2.0 ** (1.0 / 3.0) * math.exp(-4.0 / 3.0)
 
 
 def closed_form_X(m: SystemModel) -> float:
-    """Closed-form bound where one exists (all four families).
+    """Closed-form bound, for every family.
 
     * b = 0 family: H = (x - z)^2 / 2, so X = z + sqrt(2 E).
-    * stiff: X = 1 + W0(-2^(1/3) e^(-4/3)) / 2.
-    * scaled by sigma: the stiff value divided by sigma.
-    * kappa family: H = -P (x - z) - Q log((1-x)/(1-z)) with
-      P = (1 + 5k)/(2k), Q = P (1 - z), giving
-      X = 1 + (1 - z) W0(-exp(-1 - E/Q)).
+    * relativistic member (k, s), a = 2 - beta s x/(1 - s x): H =
+      -P (x - z) - Q log((x_max - x)/(x_max - z)) with P = 2 + beta and
+      Q = P (x_max - z), giving
+      X = x_max + (x_max - z) W0(-exp(-1 - E/Q)).
+      At (1, 1) the Lambert argument is STIFF_LAMBERT_ARG and
+      X = 1 + W0(-2^(1/3) e^(-4/3)) / 2.
     """
-    fam = m.family
-    if fam is Family.NONRELATIVISTIC:
-        return m.z + math.sqrt(2.0 * excess_E(m))
-    if fam is Family.STIFF_RELATIVISTIC:
-        return 1.0 + lambert_w(STIFF_LAMBERT_ARG) / 2.0
-    if fam is Family.SCALED_RELATIVISTIC:
-        return (1.0 + lambert_w(STIFF_LAMBERT_ARG) / 2.0) / m.spec.scale
-    k = m.spec.kappa
-    P = (1.0 + 5.0 * k) / (2.0 * k)
-    Q = P * (1.0 - m.z)
     E = excess_E(m)
-    return 1.0 + (1.0 - m.z) * lambert_w(-math.exp(-1.0 - E / Q))
+    if m.b_is_zero:
+        return m.z + math.sqrt(2.0 * E)
+    k, _ = m.spec.ks
+    Q = (2.0 + (1.0 + k) / (2.0 * k)) * (m.x_max - m.z)
+    return m.x_max + (m.x_max - m.z) * lambert_w(-math.exp(-1.0 - E / Q))
 
 
 def check_hypotheses(m: SystemModel, n: int = 200) -> None:
@@ -151,16 +139,17 @@ def check_hypotheses(m: SystemModel, n: int = 200) -> None:
             f"(a0+1) w b(x) >= a(x) - a(0) fails at x = {xs_w[i]}",
             point=(float(xs_w[i]),))
 
-    xr = np.linspace(w, m.z, n)
+    # a' and b' depend on x only: evaluate them on the n abscissae and
+    # broadcast against the n ordinates
+    xr = np.linspace(w, m.z, n)[:, None]
     yr = np.linspace(m.z, (m.a0 + 1.0) * w, n)
-    X, Y = np.meshgrid(xr, yr, indexing="ij")
-    slope_cond = np.asarray(m.a_prime(X), dtype=float) \
-        - np.asarray(m.b_prime(X), dtype=float) * Y
+    slope_cond = np.asarray(m.a_prime(xr), dtype=float) \
+        - np.asarray(m.b_prime(xr), dtype=float) * yr
     if np.any(slope_cond >= 0.0):
         i, j = np.unravel_index(int(np.argmax(slope_cond)), slope_cond.shape)
         raise HypothesisError(
-            f"a' - b' y < 0 fails at ({X[i, j]}, {Y[i, j]})",
-            point=(float(X[i, j]), float(Y[i, j])))
+            f"a' - b' y < 0 fails at ({xr[i, 0]}, {yr[j]})",
+            point=(float(xr[i, 0]), float(yr[j])))
 
 
 @dataclass(frozen=True)
@@ -189,15 +178,18 @@ class BoundReport:
 
 
 def bound_X(m: SystemModel) -> BoundReport:
-    """Evaluate the bound: hypotheses check, H inversion, closed form."""
+    """Evaluate the bound: hypotheses check, H inversion, closed form.
+
+    ``check_hypotheses`` verifies w, ``find_z`` verifies z; each is
+    solved once.
+    """
     check_hypotheses(m)
     z = find_z(m)
-    w = find_w(m)
     E = excess_E(m)
     X_num = invert_H(m, E)
     X_cl = closed_form_X(m)
     agr = abs(X_num - X_cl)
-    return BoundReport(family=m.family.value, z=z, w=w, E=E,
+    return BoundReport(family=m.family.value, z=z, w=m.w, E=E,
                        X_numeric=X_num, X_closed=X_cl, agreement=agr)
 
 

@@ -144,11 +144,13 @@ def _cmd_bound(args) -> int:
     if args.sweep_kappa:
         try:
             a, b, n = args.sweep_kappa.split(":")
-            ks = [float(a) + (float(b) - float(a)) * i / (int(n) - 1)
-                  for i in range(int(n))]
-        except (ValueError, ZeroDivisionError):
+            lo, hi, n = float(a), float(b), int(n)
+            if n < 2:
+                raise ValueError
+        except ValueError:
             raise DomainError(f"bad sweep spec {args.sweep_kappa!r}; "
                               "expected A:B:N with N >= 2")
+        ks = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
         rows = kappa_sweep(ks)
         if args.out:
             sweep_to_csv(rows, args.out)
@@ -171,7 +173,10 @@ def _cmd_portrait(args) -> int:
     def parse_range(text, fallback):
         if text is None:
             return fallback
-        lo, hi = (float(v) for v in text.split(":"))
+        try:
+            lo, hi = (float(v) for v in text.split(":"))
+        except ValueError:
+            raise DomainError(f"bad range spec {text!r}; expected LO:HI")
         return lo, hi
 
     xr_def, yr_def = default_ranges(m)

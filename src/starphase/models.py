@@ -4,12 +4,18 @@ Each family fixes a pair of coefficient functions (a, b) together with
 their derivatives and primitives.  The four built-in families all come
 from integrated-density reductions of self-gravitating matter:
 
-* ``nonrel``   -- a(x) = 2 - x, b = 0 (isothermal Newtonian cloud)
-* ``stiff``    -- a(x) = (2 - 3x)/(1 - x), b(x) = 1/(1 - x) (p = c^2 rho)
-* ``scaled``   -- the stiff pair rescaled by sigma: a = (2 - 3 s x)/(1 - s x),
-  b = s/(1 - s x); the phase portrait is the stiff one shrunk by 1/sigma
-* ``kappa``    -- a(x) = 2 - (1+k)/(2k) x/(1-x), b(x) = (1+k)/2 / (1-x)
-  (p = k c^2 rho, 0 < k <= 1; k = 1 reproduces the stiff pair)
+* ``nonrel`` -- a(x) = 2 - x, b = 0 (isothermal Newtonian cloud)
+* the relativistic stars, p = k c^2 rho with 0 < k <= 1: the members
+  (k, s) of a(x) = 2 - beta s x/(1 - s x), b(x) = gamma s/(1 - s x),
+  beta = (1+k)/(2k), gamma = (1+k)/2, on [0, 1/s).  ``ModelSpec.ks``
+  names the presets: ``stiff`` is (1, 1), ``scaled`` is (1, sigma) and
+  ``kappa`` is (k, 1).
+
+A member is the (k, 1) member shrunk by 1/s, so z = 4k/((1+k)^2 + 4k)/s,
+w = 4k/(3k^2 + 8k + 1)/s and x0 = 4k/(1 + 5k)/s; the y' = 0 isocline is
+the line x(y) = (2 - gamma s y)/((2 + beta) s), and the bound is
+X = x_max + (x_max - z) W0(-exp(-1 - E/Q)), Q = (2 + beta)(x_max - z)
+(``starphase.bounds``).
 
 Primitives are stored pre-shifted so A(z) = B(z) = 0 at the interior
 stationary point z, which normalises the Lyapunov function to vanish at
@@ -82,6 +88,14 @@ class ModelSpec:
         elif self.scale is not None:
             raise ValueError("scale is only meaningful for the scaled family")
 
+    @property
+    def ks(self) -> tuple[float, float] | None:
+        """(k, s) of the relativistic member, None for ``nonrel``."""
+        if self.family is Family.NONRELATIVISTIC:
+            return None
+        return (1.0 if self.kappa is None else self.kappa,
+                1.0 if self.scale is None else self.scale)
+
 
 @dataclass(frozen=True)
 class SystemModel:
@@ -152,8 +166,7 @@ def make_model(spec: ModelSpec) -> SystemModel:
     ValueError
         If the requested parameters violate the ModelSpec invariants.
     """
-    fam = spec.family
-    if fam is Family.NONRELATIVISTIC:
+    if spec.ks is None:
         z, w, x0 = 2.0, 2.0, 2.0
         a = lambda x: 2.0 - x
         b = lambda x: x * 0.0
@@ -163,44 +176,22 @@ def make_model(spec: ModelSpec) -> SystemModel:
         B_raw = lambda x: np.asarray(x, dtype=float) * 0.0
         x_max = math.inf
         b_is_zero = True
-    elif fam is Family.STIFF_RELATIVISTIC:
-        z, w, x0 = 0.5, 1.0 / 3.0, 2.0 / 3.0
-        a = lambda x: (2.0 - 3.0 * x) / (1.0 - x)
-        b = lambda x: 1.0 / (1.0 - x)
-        a_prime = lambda x: -1.0 / np.square(1.0 - x)
-        b_prime = lambda x: 1.0 / np.square(1.0 - x)
-        A_raw = lambda x: 3.0 * x + np.log1p(-x)
-        B_raw = lambda x: -np.log1p(-x)
-        x_max = 1.0
-        b_is_zero = False
-    elif fam is Family.SCALED_RELATIVISTIC:
-        s = spec.scale
-        z, w, x0 = 1.0 / (2.0 * s), 1.0 / (3.0 * s), 2.0 / (3.0 * s)
-        a = lambda x: (2.0 - 3.0 * s * x) / (1.0 - s * x)
-        b = lambda x: s / (1.0 - s * x)
-        a_prime = lambda x: -s / np.square(1.0 - s * x)
-        b_prime = lambda x: s * s / np.square(1.0 - s * x)
-        A_raw = lambda x: 3.0 * x + np.log1p(-s * x) / s
-        B_raw = lambda x: -np.log1p(-s * x)
+    else:
+        k, s = spec.ks
+        beta = (1.0 + k) / (2.0 * k)
+        gamma = (1.0 + k) / 2.0
+        c, gs = (2.0 + beta) * s, gamma * s
+        z = 4.0 * k / ((k + 1.0) ** 2 + 4.0 * k) / s
+        w = 4.0 * k / (3.0 * k * k + 8.0 * k + 1.0) / s
+        x0 = 4.0 * k / (1.0 + 5.0 * k) / s
+        a = lambda x: (2.0 - c * x) / (1.0 - s * x)
+        b = lambda x: gs / (1.0 - s * x)
+        a_prime = lambda x: -beta * s / np.square(1.0 - s * x)
+        b_prime = lambda x: gs * s / np.square(1.0 - s * x)
+        A_raw = lambda x: (2.0 + beta) * x + beta * np.log1p(-s * x) / s
+        B_raw = lambda x: -gamma * np.log1p(-s * x)
         x_max = 1.0 / s
         b_is_zero = False
-    elif fam is Family.KAPPA_FAMILY:
-        k = spec.kappa
-        beta = (1.0 + k) / (2.0 * k)     # a(x) = 2 - beta x/(1-x)
-        gamma = (1.0 + k) / 2.0          # b(x) = gamma/(1-x)
-        z = 4.0 * k / ((k + 1.0) ** 2 + 4.0 * k)
-        w = 4.0 * k / (3.0 * k * k + 8.0 * k + 1.0)
-        x0 = 4.0 * k / (1.0 + 5.0 * k)
-        a = lambda x: 2.0 - beta * x / (1.0 - x)
-        b = lambda x: gamma / (1.0 - x)
-        a_prime = lambda x: -beta / np.square(1.0 - x)
-        b_prime = lambda x: gamma / np.square(1.0 - x)
-        A_raw = lambda x: (2.0 + beta) * x + beta * np.log1p(-x)
-        B_raw = lambda x: -gamma * np.log1p(-x)
-        x_max = 1.0
-        b_is_zero = False
-    else:  # pragma: no cover - exhaustive enum
-        raise ValueError(f"unknown family {fam}")
 
     # shift the primitives so that A(z) = B(z) = 0 exactly (same float
     # expression is subtracted, so the residue at z is identically zero)
@@ -231,18 +222,23 @@ def eval_field(m: SystemModel, x, y):
     return dx, dy
 
 
+def _verified(m: SystemModel, name: str, value: float, g) -> float:
+    """Return the closed-form ``value`` after checking it against the
+    bracketed root of ``g`` on (0, x_max)."""
+    root = solve_bracketed(g, 1e-9 * min(1.0, m.x_max), m.x_max)
+    if abs(root - value) > VERIFY_TOL * max(1.0, abs(value)):
+        raise HypothesisError(
+            f"numeric {name}={root!r} disagrees with closed form {value!r}")
+    return value
+
+
 def find_z(m: SystemModel) -> float:
     """Interior stationary abscissa: the positive root of a(z) = z b(z).
 
     The closed-form family value is verified against a bracketed root
     search before being returned.
     """
-    g = lambda x: float(m.a(x) - x * m.b(x))
-    root = solve_bracketed(g, 1e-9 * min(1.0, m.x_max), m.x_max)
-    if abs(root - m.z) > VERIFY_TOL * max(1.0, abs(m.z)):
-        raise HypothesisError(
-            f"numeric z={root!r} disagrees with closed form {m.z!r}")
-    return m.z
+    return _verified(m, "z", m.z, lambda x: float(m.a(x) - x * m.b(x)))
 
 
 def find_w(m: SystemModel) -> float:
@@ -256,12 +252,8 @@ def find_w(m: SystemModel) -> float:
     if m.b_is_zero:
         w = m.z
     else:
-        g = lambda x: float((m.a0 + 1.0) * x * m.b(x) - m.a(x))
-        root = solve_bracketed(g, 1e-9 * min(1.0, m.x_max), m.x_max)
-        if abs(root - m.w) > VERIFY_TOL * max(1.0, abs(m.w)):
-            raise HypothesisError(
-                f"numeric w={root!r} disagrees with closed form {m.w!r}")
-        w = m.w
+        w = _verified(m, "w", m.w, lambda x: float(
+            (m.a0 + 1.0) * x * m.b(x) - m.a(x)))
     if not ((m.a0 + 1.0) * w > m.z >= w - 1e-15 and w > 0.0):
         raise HypothesisError(
             f"ordering (a0+1)w > z >= w > 0 violated: w={w}, z={m.z}",
@@ -271,12 +263,7 @@ def find_w(m: SystemModel) -> float:
 
 def find_x0(m: SystemModel) -> float:
     """Positive zero of a.  Verified against the bracketed root search."""
-    g = lambda x: float(m.a(x))
-    root = solve_bracketed(g, 1e-9 * min(1.0, m.x_max), m.x_max)
-    if abs(root - m.x0) > VERIFY_TOL * max(1.0, abs(m.x0)):
-        raise HypothesisError(
-            f"numeric x0={root!r} disagrees with closed form {m.x0!r}")
-    return m.x0
+    return _verified(m, "x0", m.x0, lambda x: float(m.a(x)))
 
 
 def r_factor(m: SystemModel, x):

@@ -23,9 +23,11 @@ _MAX_EXPAND = 200
 def expand_bracket(f, lo: float, x_max: float):
     """Search for a sign change of ``f`` on ``(lo, x_max)``.
 
-    The right probe walks geometrically: doubling steps when ``x_max`` is
-    infinite, halving the gap to ``x_max`` when it is finite (so poles at
-    the boundary are approached but never hit).
+    The right probe walks geometrically: doubling steps from 2^-9 above
+    ``lo`` when ``x_max`` is infinite, halving the gap to ``x_max`` when
+    it is finite.  A probe
+    that rounds onto ``x_max`` is skipped, so a pole at the boundary is
+    approached but never hit.
 
     Returns
     -------
@@ -43,10 +45,10 @@ def expand_bracket(f, lo: float, x_max: float):
     a = lo
     for k in range(1, _MAX_EXPAND):
         if math.isinf(x_max):
-            b = lo + 2.0 ** (k - 20)
+            b = lo + 2.0 ** (k - 10)
         else:
             b = x_max - (x_max - lo) * 2.0 ** (-k)
-            if b <= a:
+            if not a < b < x_max:
                 continue
         fb = f(b)
         if fb == 0.0:
@@ -63,16 +65,4 @@ def solve_bracketed(f, lo: float, x_max: float, xtol: float = ROOT_XTOL) -> floa
     a, b = expand_bracket(f, lo, x_max)
     if a == b:
         return a
-    return brentq(f, a, b, xtol=xtol)
-
-
-def solve_in(f, a: float, b: float, xtol: float = ROOT_XTOL) -> float:
-    """Root of ``f`` on a known sign-change interval ``[a, b]``."""
-    fa, fb = f(a), f(b)
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if (fa > 0.0) == (fb > 0.0):
-        raise ConvergenceError(f"no sign change on [{a}, {b}]")
     return brentq(f, a, b, xtol=xtol)

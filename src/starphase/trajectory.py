@@ -22,7 +22,6 @@ from . import integrate
 from .errors import DomainError
 from .lyapunov import lyapunov_value
 from .models import DOMAIN_GUARD, SystemModel, eval_field, find_w
-from .rootfind import solve_in
 
 
 @dataclass(frozen=True)
@@ -47,6 +46,8 @@ class IntegratorConfig:
                      "v_threshold", "max_time", "max_steps"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if not math.isfinite(self.max_time):
+            raise ValueError(f"max_time must be finite, got {self.max_time!r}")
 
 
 @dataclass(frozen=True)
@@ -236,7 +237,7 @@ def check_trap_region(m: SystemModel, n: int = 1000,
         isocline_monotone = None
     else:
         ys_i = np.linspace(m.z, slope * w, n)
-        xi = np.array([isocline_x(m, yv) for yv in ys_i])
+        xi = isocline_x(m, ys_i)
         isocline_monotone = bool(np.all(np.diff(xi) <= 1e-12))
         if not isocline_monotone:
             j = int(np.argmax(np.diff(xi)))
@@ -249,11 +250,14 @@ def check_trap_region(m: SystemModel, n: int = 1000,
                             violation=violation, passed=passed)
 
 
-def isocline_x(m: SystemModel, y: float) -> float:
+def isocline_x(m: SystemModel, y):
     """Abscissa x(y) of the y' = 0 isocline, from a(x) = y b(x).
 
+    For the relativistic member (k, s) the isocline is the line
+    x(y) = (2 - gamma s y)/((2 + beta) s) = x0 (1 - y b(0)/a(0)).
     Defined for y in [0, (a0 + 1) w]; maps that interval onto [w, x0]
-    reversing the order, with x(z) = z and x(0) = x0.
+    reversing the order, with x(z) = z and x(0) = x0.  Accepts a scalar
+    or an array of y.
 
     Raises
     ------
@@ -263,8 +267,8 @@ def isocline_x(m: SystemModel, y: float) -> float:
     if m.b_is_zero:
         raise DomainError("isocline degenerates for b = 0")
     hi = (m.a0 + 1.0) * m.w
-    if not 0.0 <= y <= hi * (1.0 + 1e-12):
+    y = np.asarray(y, dtype=float)
+    if not np.all((0.0 <= y) & (y <= hi * (1.0 + 1e-12))):
         raise DomainError(f"isocline is parameterised on [0, {hi}]")
-    g = lambda x: float(m.a(x) - y * m.b(x))
-    lo = 1e-9 * m.x_max
-    return solve_in(g, lo, m.x_max * (1.0 - 1e-9))
+    x = m.x0 * (1.0 - y * m.b(0.0) / m.a0)
+    return x if x.ndim else float(x)

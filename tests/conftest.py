@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import starphase as sp
+from starphase import rootfind
 
 #: the four families exercised throughout the suite (kappa at the
 #: radiation border 1/3; scaled at the default sigma = 8 pi)
@@ -34,6 +35,19 @@ def trajectories(models):
     """One default-config shoot per family, shared across tests."""
     return {name: sp.shoot_heteroclinic(models[name])
             for name in FAMILY_ARGS}
+
+
+def count_root_solves(monkeypatch):
+    """Count the brentq calls made through ``starphase.rootfind``."""
+    calls = [0]
+    original = rootfind.brentq
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(rootfind, "brentq", counting)
+    return calls
 
 
 def random_domain_points(m, n, seed=0):

@@ -6,9 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import starphase as sp
+from starphase import bounds
 from starphase.bounds import (STIFF_LAMBERT_ARG, check_hypotheses,
                               closed_form_X, kappa_sweep, sweep_to_csv)
 from starphase.models import SystemModel
+
+from conftest import count_root_solves
 
 LOG2 = math.log(2.0)
 LOG3 = math.log(3.0)
@@ -125,6 +128,20 @@ class TestClosedForms:
         rep = sp.bound_X(each_model)
         assert rep.agreement <= 1e-9
         assert rep.X_numeric >= rep.z
+
+    def test_each_constant_solved_once(self, each_model, monkeypatch):
+        solves, w_calls = count_root_solves(monkeypatch), [0]
+        find_w = bounds.find_w
+
+        def counting_find_w(m):
+            w_calls[0] += 1
+            return find_w(m)
+
+        monkeypatch.setattr(bounds, "find_w", counting_find_w)
+        sp.bound_X(each_model)
+        assert w_calls[0] == 1
+        # z, invert_H, and w unless b = 0
+        assert solves[0] == (2 if each_model.b_is_zero else 3)
 
     def test_kappa_one_equals_stiff(self, models):
         x_k1 = closed_form_X(models["kappa1"])

@@ -72,6 +72,15 @@ class TestBound:
                            "--sweep-kappa", "nope")
         assert code == 3
 
+    @pytest.mark.parametrize("spec", ["0.1:0.5:0", "0.1:0.5:-3",
+                                      "0.1:0.5:1"])
+    def test_sweep_below_two_points_exit_3(self, capsys, spec):
+        code, out, err = run(capsys, "bound", "--model", "kappa",
+                             "--sweep-kappa", spec)
+        assert code == 3
+        assert out == ""
+        assert spec in err and "N >= 2" in err
+
 
 class TestTrajectory:
     def test_csv_export(self, capsys, tmp_path):
@@ -103,6 +112,14 @@ class TestTrajectory:
                            "--eps", "0.6")
         assert code == 3
         assert "eps_start" in err
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_max_time_exit_3(self, capsys, value):
+        code, out, err = run(capsys, "trajectory", "--model", "stiff",
+                             "--max-time", value)
+        assert code == 3
+        assert out == ""
+        assert "max_time must be finite" in err
 
     def test_nonconvergence_exit_4(self, capsys):
         code, _, err = run(capsys, "trajectory", "--model", "stiff",
@@ -169,6 +186,16 @@ class TestPortrait:
                            "--out", str(path))
         assert code == 3
         assert "finite" in err
+        assert not path.exists()
+
+    @pytest.mark.parametrize("flag", ["--xrange", "--yrange"])
+    @pytest.mark.parametrize("spec", ["1:2:3", "abc", "0.5"])
+    def test_malformed_range_exit_3(self, capsys, tmp_path, flag, spec):
+        path = tmp_path / "field.svg"
+        code, _, err = run(capsys, "portrait", "--model", "stiff",
+                           "--grid", "8,8", flag, spec, "--out", str(path))
+        assert code == 3
+        assert repr(spec) in err and "LO:HI" in err
         assert not path.exists()
 
     def test_degenerate_svg_box_exit_3(self, capsys, tmp_path):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import starphase as sp
+from starphase import rootfind
 from starphase.models import SINGULARITY_GUARD
 
 from conftest import SIGMA
@@ -59,6 +60,12 @@ class TestModelSpec:
 
     def test_family_from_string(self):
         assert sp.ModelSpec("stiff").family is sp.Family.STIFF_RELATIVISTIC
+
+    def test_presets_are_relativistic_members(self):
+        assert sp.ModelSpec("nonrel").ks is None
+        assert sp.ModelSpec("stiff").ks == (1.0, 1.0)
+        assert sp.ModelSpec("scaled", scale=2.5).ks == (1.0, 2.5)
+        assert sp.ModelSpec("kappa", kappa=0.25).ks == (0.25, 1.0)
 
 
 class TestFamilies:
@@ -191,6 +198,17 @@ class TestRoots:
         w = sp.find_w(m)
         res = (m.a0 + 1.0) * w * float(m.b(w)) - float(m.a(w))
         assert abs(res) < 1e-10
+
+    def test_bracket_search_never_probes_the_pole(self):
+        probes = []
+
+        def f(x):
+            probes.append(x)
+            return 1.0 / (1.0 - x)   # no sign change on (0.5, 1)
+
+        with pytest.raises(sp.ConvergenceError):
+            rootfind.expand_bracket(f, 0.5, 1.0)
+        assert max(probes) < 1.0
 
     def test_z_condition_residual(self, each_model):
         m = each_model

@@ -3,10 +3,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 import starphase as sp
+from starphase.bounds import closed_form_X
 from starphase.trajectory import IntegratorConfig
+
+from conftest import count_root_solves
 
 # scipy DOP853 oracle values (rtol 1e-11), frozen
 ORACLE_MAX_X = {
@@ -27,6 +33,14 @@ SEED_MAX_X = {
 }
 
 X_NONREL_BOUND = 2.0 + 2.0 * math.sqrt(2.0 - math.log(3.0))  # 3.8988288...
+
+
+def isocline_oracle(m, y):
+    """Numeric oracle for ``isocline_x``: the bracketed root of
+    a(x) = y b(x) on (0, x_max), solved to a tolerance scaled to x_max."""
+    g = lambda x: float(m.a(x) - y * m.b(x))
+    return brentq(g, 1e-9 * m.x_max, m.x_max * (1.0 - 1e-9),
+                  xtol=1e-15 * m.x_max)
 
 
 def scipy_shoot(m, eps=1e-6, radius=1e-8):
@@ -223,6 +237,14 @@ class TestTrapRegion:
         rep = sp.check_trap_region(models["nonrel"], 2000)
         assert -1e-2 < rep.line_margin <= 1e-9
 
+    def test_only_root_solve_is_find_w(self, models, monkeypatch):
+        calls = count_root_solves(monkeypatch)
+        for name, expected in (("stiff", 1), ("scaled", 1), ("kappa", 1),
+                               ("nonrel", 0)):
+            calls[0] = 0
+            assert sp.check_trap_region(models[name]).passed, name
+            assert calls[0] == expected, name
+
     def test_diagonal_stationary_at_z(self, each_model):
         dx, dy = sp.eval_field(each_model, each_model.z, each_model.z)
         assert dx == 0.0
@@ -244,6 +266,15 @@ class TestIsocline:
         assert xs[-1] == pytest.approx(m.w, abs=1e-10)
         assert np.all(np.diff(xs) < 1e-12)
 
+    @pytest.mark.parametrize("name", ["stiff", "scaled", "kappa", "kappa1"])
+    def test_closed_form_matches_root_oracle(self, models, name):
+        m = models[name]
+        ys = np.linspace(0.0, (m.a0 + 1.0) * m.w, 101)
+        xs = sp.isocline_x(m, ys)
+        ref = np.array([isocline_oracle(m, y) for y in ys])
+        assert np.max(np.abs(xs - ref)) <= 1e-13 * m.x0
+        assert [sp.isocline_x(m, y) for y in ys] == xs.tolist()
+
     def test_degenerate_family_rejected(self, models):
         with pytest.raises(sp.DomainError):
             sp.isocline_x(models["nonrel"], 1.0)
@@ -254,6 +285,51 @@ class TestIsocline:
             sp.isocline_x(m, 1.5)
         with pytest.raises(sp.DomainError):
             sp.isocline_x(m, -0.1)
+        with pytest.raises(sp.DomainError):
+            sp.isocline_x(m, np.array([0.5, 1.5]))
+
+
+class TestRelativisticFamily:
+    """The relativistic member (k, s) is the (k, 1) member shrunk by 1/s;
+    kappa members check the closed forms against numeric oracles."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(e=st.floats(-3.0, 3.0))
+    def test_scaled_constants_are_stiff_over_sigma(self, models, e):
+        s = 10.0 ** e
+        m, ref = sp.model("scaled", scale=s), models["stiff"]
+        pairs = [(m.z, ref.z), (m.w, ref.w), (m.x0, ref.x0),
+                 (sp.excess_E(m), sp.excess_E(ref)),
+                 (closed_form_X(m), closed_form_X(ref))]
+        for got, want in pairs:
+            assert got * s == pytest.approx(want, rel=1e-13)
+
+    @settings(max_examples=15, deadline=None)
+    @given(e=st.floats(-3.0, 3.0))
+    def test_scaled_orbit_is_stiff_orbit_over_sigma(self, trajectories, e):
+        # lengths and V both scale by 1/s, so every absolute tolerance does
+        s = 10.0 ** e
+        base = IntegratorConfig()
+        cfg = IntegratorConfig(eps_start=base.eps_start / s,
+                               abs_tol=base.abs_tol / s,
+                               converge_radius=base.converge_radius / s,
+                               v_threshold=base.v_threshold / s)
+        traj = sp.shoot_heteroclinic(sp.model("scaled", scale=s), cfg)
+        assert traj.converged
+        assert traj.max_x * s == pytest.approx(
+            trajectories["stiff"].max_x, rel=1e-12)
+
+    # below k ~ 1e-3 the Lambert argument nears the branch point -1/e and
+    # the closed form of X loses relative accuracy
+    @settings(max_examples=60, deadline=None)
+    @given(e=st.floats(-3.0, 0.0), u=st.floats(0.0, 1.0))
+    def test_kappa_closed_forms_match_oracles(self, e, u):
+        m = sp.model("kappa", kappa=10.0 ** e)
+        y = u * (m.a0 + 1.0) * m.w
+        assert abs(sp.isocline_x(m, y) - isocline_oracle(m, y)) \
+            <= 1e-13 * m.x0
+        x_num = sp.invert_H(m, sp.excess_E(m))
+        assert closed_form_X(m) == pytest.approx(x_num, rel=1e-11)
 
 
 class TestLaunch:
@@ -309,3 +385,8 @@ class TestConfig:
     def test_positivity_validation(self, field, value):
         with pytest.raises(ValueError):
             IntegratorConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_max_time_rejected(self, value):
+        with pytest.raises(ValueError, match="max_time"):
+            IntegratorConfig(max_time=value)
