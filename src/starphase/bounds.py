@@ -35,7 +35,7 @@ import numpy as np
 from . import rootfind
 from .errors import ConvergenceError, DomainError, HypothesisError
 from .lambertw import lambert_w
-from .lyapunov import H
+from .lyapunov import H, H_unchecked
 from .models import (DOMAIN_GUARD, Family, ModelSpec, SystemModel, find_w,
                      find_z, make_model, r_factor)
 
@@ -72,9 +72,12 @@ def invert_H(m: SystemModel, level: float) -> float:
     """
     if level < 0.0:
         raise DomainError("H levels are nonnegative on [z, x_max)")
+    # every probe of the bracket walk and of brentq lies in
+    # [z, x_max - DOMAIN_GUARD), so H's domain is checked once, at z
+    m.check_x(m.z)
     try:
-        return rootfind.solve_bracketed(lambda x: H(m, x) - level, m.z,
-                                        m.x_max - DOMAIN_GUARD)
+        return rootfind.solve_bracketed(lambda x: H_unchecked(m, x) - level,
+                                        m.z, m.x_max - DOMAIN_GUARD)
     except ConvergenceError:
         sup = H(m, m.x_max - 2.0 * max(DOMAIN_GUARD, 1e-15 * m.x_max)) \
             if math.isfinite(m.x_max) else math.inf
@@ -139,10 +142,12 @@ def check_hypotheses(m: SystemModel, n: int = 200) -> None:
             f"(a0+1) w b(x) >= a(x) - a(0) fails at x = {xs_w[i]}",
             point=(float(xs_w[i]),))
 
-    # a' and b' depend on x only: evaluate them on the n abscissae and
-    # broadcast against the n ordinates
+    # a' and b' depend on x only, and the rounded a' - b' y is monotone
+    # in y: on each abscissa its maximum over y in [z, (a0+1) w] is at one
+    # of the two ends, bit for bit, so testing those two ordinates decides
+    # the condition as any mesh of ordinates would
     xr = np.linspace(w, m.z, n)[:, None]
-    yr = np.linspace(m.z, (m.a0 + 1.0) * w, n)
+    yr = np.array([m.z, (m.a0 + 1.0) * w])
     slope_cond = np.asarray(m.a_prime(xr), dtype=float) \
         - np.asarray(m.b_prime(xr), dtype=float) * yr
     if np.any(slope_cond >= 0.0):

@@ -8,6 +8,7 @@ failure, 4 numerical non-convergence.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -214,9 +215,19 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one CLI command and return its exit code.
+
+    All calls in a process share one parser, built on the first call:
+    parsing reads it and never changes it, and each call gets a fresh
+    namespace.  Usage errors raise ``SystemExit(2)`` as in argparse.
+    """
+    args = _shared_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (DomainError, HypothesisError, ValueError) as exc:

@@ -60,8 +60,14 @@ def H(m: SystemModel, x):
     if np.any(x_arr < m.z - 1e-12):
         raise DomainError(f"H is defined for x >= z = {m.z}")
     m.check_x(x)
-    val = m.z * m.B(x_arr) - m.A(x_arr)
+    val = H_unchecked(m, x_arr)
     return val if val.ndim else float(val)
+
+
+def H_unchecked(m: SystemModel, x):
+    """z B(x) - A(x) without H's domain checks, for callers that keep x
+    in [z, x_max - DOMAIN_GUARD) themselves; takes floats or arrays."""
+    return m.z * m.B(x) - m.A(x)
 
 
 @dataclass(frozen=True)

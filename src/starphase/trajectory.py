@@ -12,7 +12,6 @@ isocline is a nonincreasing graph x(y).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -84,13 +83,18 @@ class Trajectory:
         return float(self.x[-1]), float(self.y[-1])
 
     def to_csv(self, path) -> None:
-        """Rows ``t,x,y,V`` with round-trip decimal formatting."""
+        """Rows ``t,x,y,V`` with round-trip decimal formatting.
+
+        Floats are written as ``repr``.  The bytes equal those of
+        ``csv.writer`` with its default dialect: CRLF line ends, and no
+        field here needs quoting.
+        """
+        cols = (np.asarray(c, dtype=float).tolist()
+                for c in (self.t, self.x, self.y, self.V))
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "x", "y", "V"])
-            for ti, xi, yi, vi in self.samples:
-                writer.writerow([repr(float(ti)), repr(float(xi)),
-                                 repr(float(yi)), repr(float(vi))])
+            fh.write("t,x,y,V\r\n" + "".join(
+                f"{ti!r},{xi!r},{yi!r},{vi!r}\r\n"
+                for ti, xi, yi, vi in zip(*cols)))
 
     def to_dict(self) -> dict:
         return {

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import starphase as sp
-from starphase import bounds
+from starphase import bounds, lyapunov, rootfind
 from starphase.bounds import (STIFF_LAMBERT_ARG, check_hypotheses,
                               closed_form_X, kappa_sweep, sweep_to_csv)
-from starphase.models import SystemModel
+from starphase.models import DOMAIN_GUARD, SystemModel
 
 from conftest import count_root_solves
 
@@ -35,6 +35,48 @@ def bisect_level(m, level, lo, hi, iters=200):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def reference_invert_H(m, level):
+    """``invert_H``'s solve on the checked objective H(m, x) - level that
+    it replaced, kept as the bit-for-bit oracle."""
+    return rootfind.solve_bracketed(lambda x: sp.H(m, x) - level, m.z,
+                                    m.x_max - DOMAIN_GUARD)
+
+
+def mesh_slope_check(m, n):
+    """The isocline slope condition a' - b' y < 0 tested on the full
+    n x n mesh of [w, z] x [z, (a0+1) w], as ``check_hypotheses`` did
+    before it took only the two end ordinates; the oracle."""
+    w = m.w
+    xr = np.linspace(w, m.z, n)[:, None]
+    yr = np.linspace(m.z, (m.a0 + 1.0) * w, n)
+    slope_cond = np.asarray(m.a_prime(xr), dtype=float) \
+        - np.asarray(m.b_prime(xr), dtype=float) * yr
+    if np.any(slope_cond >= 0.0):
+        i, j = np.unravel_index(int(np.argmax(slope_cond)), slope_cond.shape)
+        raise sp.HypothesisError(
+            f"a' - b' y < 0 fails at ({xr[i, 0]}, {yr[j]})",
+            point=(float(xr[i, 0]), float(yr[j])))
+
+
+def hypothesis_outcome(check, m, n):
+    """None when ``check(m, n)`` passes, else its message and witness."""
+    try:
+        check(m, n)
+    except sp.HypothesisError as exc:
+        return str(exc), exc.point
+    return None
+
+
+def with_slopes(base, a_prime=None, b_prime=None):
+    """``base`` with a' and/or b' replaced; only the slope condition of
+    ``check_hypotheses`` reads them."""
+    return SystemModel(
+        spec=base.spec, a=base.a, b=base.b,
+        a_prime=a_prime or base.a_prime, b_prime=b_prime or base.b_prime,
+        A=base.A, B=base.B, x_max=base.x_max, a0=base.a0,
+        z=base.z, w=base.w, x0=base.x0, b_is_zero=base.b_is_zero)
 
 
 class TestExcess:
@@ -85,6 +127,50 @@ class TestInvertH:
             x = sp.invert_H(m, level * (1.0 + m.z))
             assert sp.H(m, x) == pytest.approx(level * (1.0 + m.z),
                                                rel=1e-8, abs=1e-13)
+
+    @pytest.mark.parametrize("frac", [0.0, 1e-6, 0.05, 0.7, 1.0])
+    def test_bit_identical_to_checked_objective(self, each_model, frac):
+        m = each_model
+        level = frac * sp.excess_E(m)
+        assert sp.invert_H(m, level) == reference_invert_H(m, level)
+
+    @settings(max_examples=60, deadline=None)
+    @given(e=st.floats(-3.0, 3.0), frac=st.floats(0.0, 1.0))
+    def test_scaled_bit_identical_to_checked_objective(self, e, frac):
+        m = sp.model("scaled", scale=10.0 ** e)
+        level = frac * sp.excess_E(m)
+        assert sp.invert_H(m, level) == reference_invert_H(m, level)
+
+    @settings(max_examples=60, deadline=None)
+    @given(e=st.floats(-3.0, 0.0), frac=st.floats(0.0, 1.0))
+    def test_kappa_bit_identical_to_checked_objective(self, e, frac):
+        m = sp.model("kappa", kappa=10.0 ** e)
+        level = frac * sp.excess_E(m)
+        assert sp.invert_H(m, level) == reference_invert_H(m, level)
+
+    def test_bound_makes_no_H_calls(self, each_model, monkeypatch):
+        calls = [0]
+        original = lyapunov.H
+
+        def counting(m, x):
+            calls[0] += 1
+            return original(m, x)
+
+        for module in (lyapunov, bounds, sp):
+            monkeypatch.setattr(module, "H", counting)
+        rep = sp.bound_X(each_model)
+        assert calls[0] == 0
+        assert rep.X_numeric == reference_invert_H(each_model, rep.E)
+
+    def test_z_outside_domain_rejected(self, models):
+        # H's domain check, made once at the left bracket end
+        base = models["stiff"]
+        bad = SystemModel(
+            spec=base.spec, a=base.a, b=base.b, a_prime=base.a_prime,
+            b_prime=base.b_prime, A=base.A, B=base.B, x_max=base.z,
+            a0=base.a0, z=base.z, w=base.w, x0=base.x0)
+        with pytest.raises(sp.DomainError, match="x outside"):
+            sp.invert_H(bad, 0.1)
 
     def test_negative_level_rejected(self, models):
         with pytest.raises(sp.DomainError):
@@ -265,6 +351,64 @@ class TestHypotheses:
         x, y = err.value.point
         assert base.w <= x <= base.z
         assert base.z <= y <= 3.0 * base.w
+
+
+class TestTwoOrdinateSlopeCheck:
+    """``check_hypotheses`` tests a' - b' y only at y = z and
+    y = (a0+1) w; it must agree with the full mesh, witness included."""
+
+    @pytest.mark.parametrize("n", [2, 3, 50, 200])
+    def test_presets_pass_like_the_mesh(self, each_model, n):
+        assert hypothesis_outcome(check_hypotheses, each_model, n) is None
+        assert hypothesis_outcome(mesh_slope_check, each_model, n) is None
+
+    @pytest.mark.parametrize("n", [2, 3, 50, 200])
+    @pytest.mark.parametrize("case", [
+        "b_prime_flipped", "a_prime_positive", "fails_below_mid_y",
+        "fails_right_of_mid_x", "nan_rows", "all_ties"])
+    def test_failing_models_match_the_mesh(self, models, n, case):
+        base = models["stiff"]
+        y_mid = 0.5 * (base.z + (base.a0 + 1.0) * base.w)
+        x_mid = 0.5 * (base.w + base.z)
+
+        def arr(x):
+            return np.asarray(x, dtype=float)
+
+        slopes = {
+            # a' - b' y rises with y: fails at the top ordinate
+            "b_prime_flipped": dict(
+                b_prime=lambda x: -10.0 / np.square(1.0 - arr(x))),
+            # falls with y: fails at the bottom ordinate
+            "a_prime_positive": dict(a_prime=lambda x: 10.0 + 0.0 * arr(x)),
+            # changes sign inside the y range
+            "fails_below_mid_y": dict(
+                a_prime=lambda x: base.b_prime(arr(x)) * y_mid),
+            # fails only at abscissae right of the middle
+            "fails_right_of_mid_x": dict(a_prime=lambda x: np.where(
+                arr(x) > x_mid, 1e3, base.a_prime(arr(x)))),
+            # nan never compares >= 0; argmax picks the first nan
+            "nan_rows": dict(a_prime=lambda x: np.where(
+                arr(x) > x_mid, np.nan, 10.0)),
+            # a' - b' y = 0 everywhere: every node ties
+            "all_ties": dict(a_prime=lambda x: 0.0 * arr(x),
+                             b_prime=lambda x: 0.0 * arr(x)),
+        }[case]
+        bad = with_slopes(base, **slopes)
+        want = hypothesis_outcome(mesh_slope_check, bad, n)
+        assert want is not None
+        assert hypothesis_outcome(check_hypotheses, bad, n) == want
+
+
+class TestSmallKappa:
+    """Known small-kappa defect (ROADMAP item 5); the xfail is strict, so
+    the test fails once the defect is mended and the mark must go."""
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "closed_form_X cancels near the Lambert branch point: -exp(-1 - t) "
+        "loses t = E/Q ~ 7e-16"))
+    def test_kappa_1e8_closed_form_agrees(self):
+        rep = sp.bound_X(sp.model("kappa", kappa=1e-8))
+        assert rep.agreement <= bounds.CLOSED_FORM_TOL * rep.X_numeric
 
 
 class TestSweep:

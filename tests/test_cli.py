@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import starphase as sp
 from starphase import cli
 
 
@@ -41,6 +45,16 @@ class TestAnalyze:
         assert code == 0
         doc = json.loads(out)
         assert doc["equilibrium"]["z"] == pytest.approx(2.0 / 4.25)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "find_z's bracket starts at 1e-9 x_max, above z once kappa < "
+        "~2.5e-10; exits 4 (ROADMAP item 5)"))
+    def test_tiny_kappa(self, capsys):
+        code, out, _ = run(capsys, "analyze", "--model", "kappa",
+                           "--kappa", "1e-10")
+        assert code == 0
+        assert json.loads(out)["equilibrium"]["z"] == sp.model(
+            "kappa", kappa=1e-10).z
 
 
 class TestBound:
@@ -247,3 +261,65 @@ class TestUsage:
         with pytest.raises(SystemExit) as err:
             cli.main(["--version"])
         assert err.value.code == 0
+
+
+class TestSharedParser:
+    """``main`` parses with one parser per process; no call may see the
+    arguments of an earlier one."""
+
+    def test_built_once(self, capsys, monkeypatch):
+        built = [0]
+        original = cli.build_parser
+
+        def counting():
+            built[0] += 1
+            return original()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        cli._shared_parser.cache_clear()
+        for _ in range(3):
+            assert run(capsys, "analyze", "--model", "stiff")[0] == 0
+        assert built[0] == 1
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_kappa_does_not_leak(self, capsys):
+        code, out, _ = run(capsys, "bound", "--model", "kappa",
+                           "--kappa", "0.5")
+        assert code == 0
+        assert json.loads(out)["z"] == sp.model("kappa", kappa=0.5).z
+        code, out, _ = run(capsys, "bound", "--model", "kappa")
+        assert code == 0
+        assert json.loads(out)["z"] == sp.model("kappa", kappa=1 / 3).z
+
+    def test_sweep_does_not_leak(self, capsys):
+        code, out, _ = run(capsys, "bound", "--model", "kappa",
+                           "--sweep-kappa", "0.2:1:3")
+        assert code == 0
+        assert len(json.loads(out)["sweep"]) == 3
+        code, out, _ = run(capsys, "bound", "--model", "stiff")
+        assert code == 0
+        doc = json.loads(out)
+        assert "sweep" not in doc
+        assert doc["family"] == "stiff"
+
+    def test_usage_error_then_valid_call(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            cli.main(["bound", "--model", "stiff", "--kappa"])
+        assert err.value.code == 2
+        capsys.readouterr()
+        code, out, _ = run(capsys, "bound", "--model", "stiff")
+        assert code == 0
+        assert json.loads(out)["X_numeric"] == pytest.approx(
+            0.6934159639728907, abs=1e-12)
+
+    def test_module_entry_point_bound(self):
+        src = os.path.dirname(os.path.dirname(sp.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "starphase", "bound", "--model", "stiff"],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["X_numeric"] == pytest.approx(
+            0.6934159639728907, abs=1e-12)

@@ -43,6 +43,17 @@ def isocline_oracle(m, y):
                   xtol=1e-15 * m.x_max)
 
 
+def reference_to_csv(traj, path):
+    """The ``csv.writer`` export that ``Trajectory.to_csv`` replaced,
+    kept as the byte oracle."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "x", "y", "V"])
+        for ti, xi, yi, vi in traj.samples:
+            writer.writerow([repr(float(ti)), repr(float(xi)),
+                             repr(float(yi)), repr(float(vi))])
+
+
 def scipy_shoot(m, eps=1e-6, radius=1e-8):
     def rhs(t, s):
         x, y = s
@@ -167,6 +178,15 @@ class TestShoot:
         assert len(rows) == 1 + traj.t.size
         assert float(rows[1][1]) == traj.x[0]
         assert float(rows[-1][3]) == traj.V[-1]
+
+    @pytest.mark.parametrize("name", ["nonrel", "stiff", "scaled", "kappa"])
+    def test_csv_bytes_match_csv_writer(self, trajectories, tmp_path, name):
+        traj = trajectories[name]
+        traj.to_csv(tmp_path / "got.csv")
+        reference_to_csv(traj, tmp_path / "want.csv")
+        got = (tmp_path / "got.csv").read_bytes()
+        assert got == (tmp_path / "want.csv").read_bytes()
+        assert got.count(b"\r\n") == 1 + traj.t.size
 
     def test_dict_export(self, trajectories):
         doc = trajectories["stiff"].to_dict()
