@@ -1,14 +1,17 @@
 """Physical interpretation of relativistic orbits and the mass-radius table.
 
-The autonomous phase variables relate to a static spherically symmetric
-star through t = log r (defined up to a shift; ``r_ref`` anchors it):
+The autonomous phase variables of the relativistic member (k, s) relate
+to a static spherically symmetric star through t = log r (defined up to
+a shift; ``r_ref`` anchors it):
 
-    x = 2 G m(r) / (r c^2),      y = 8 pi G r^2 rho(r) / c^2,
+    s x = 2 G m(r) / (r c^2),    s y = 8 pi G r^2 rho(r) / c^2,
 
-so each trajectory sample converts to a radius/mass/density/pressure
-quadruple once an equation of state p = k_eos c^2 rho is fixed by the
-family (stiff and scaled: k_eos = 1; kappa family: k_eos = kappa).  The
-nonrelativistic family has no such hydrostatic reading and is refused.
+since (s x, s y) solves the (k, 1) system, whose variables these are;
+the horizon s x = 1 is the right end of the member's domain.  Each
+trajectory sample thus converts to a radius/mass/density/pressure
+quadruple with the equation of state p = k c^2 rho (stiff and scaled:
+k = 1; kappa family: k = kappa).  The nonrelativistic family has no such
+hydrostatic reading and is refused.
 
 ``mass_radius_table`` assembles the compactness comparison: classical
 literature limits kept as exact expressions (their published decimal
@@ -36,20 +39,21 @@ NATURAL = "natural"
 SI = "si"
 
 
-def _eos_kappa(m: SystemModel) -> float:
+def _relativistic_ks(m: SystemModel) -> tuple[float, float]:
     if m.spec.ks is None:
         raise DomainError(
             "nonrelativistic trajectories have no hydrostatic interpretation; "
             "use a relativistic family")
-    return m.spec.ks[0]
+    return m.spec.ks
 
 
 @dataclass(frozen=True)
 class PhysicalProfile:
     """Radial star profile recovered from one trajectory.
 
-    ``compactness`` repeats the x samples, i.e. 2 G m / (r c^2); it
-    stays below 1 for every exported sample (sub-Schwarzschild).
+    ``compactness`` is 2 G m / (r c^2), the x samples times s; it stays
+    below 1 for every exported sample (sub-Schwarzschild), since the
+    member's domain is s x < 1.
     """
 
     r: np.ndarray
@@ -76,7 +80,7 @@ def to_physical(traj: Trajectory, r_ref: float = 1.0,
     """
     if r_ref <= 0.0:
         raise ValueError("r_ref must be positive")
-    k_eos = _eos_kappa(traj.model)
+    k_eos, s = _relativistic_ks(traj.model)
     if units == NATURAL:
         Gv, cv = 1.0, 1.0
     elif units == SI:
@@ -85,11 +89,12 @@ def to_physical(traj: Trajectory, r_ref: float = 1.0,
     else:
         raise ValueError(f"unknown unit system {units!r}")
     r = r_ref * np.exp(traj.t - traj.t[-1])
-    mass = r * cv ** 2 * traj.x / (2.0 * Gv)
-    rho = cv ** 2 * traj.y / (8.0 * math.pi * Gv * np.square(r))
+    compactness = s * traj.x
+    mass = r * cv ** 2 * compactness / (2.0 * Gv)
+    rho = cv ** 2 * (s * traj.y) / (8.0 * math.pi * Gv * np.square(r))
     p = k_eos * cv ** 2 * rho
     return PhysicalProfile(r=r, m=mass, rho=rho, p=p,
-                           compactness=traj.x.copy(), units=units,
+                           compactness=compactness, units=units,
                            r_ref=r_ref)
 
 

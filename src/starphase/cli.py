@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 from . import __version__
@@ -122,6 +123,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_trajectory(args) -> int:
+    if not math.isfinite(args.rtol):
+        raise ValueError(f"--rtol must be finite, got {args.rtol!r}")
     m = _model_from(args)
     cfg = IntegratorConfig(eps_start=args.eps, rel_tol=args.rtol,
                            max_time=args.max_time)
@@ -129,9 +132,8 @@ def _cmd_trajectory(args) -> int:
     if args.out:
         traj.to_csv(args.out)
     if args.json_path or not args.out:
-        doc = traj.to_dict()
-        if args.out:
-            del doc["samples"]  # samples live in the CSV
+        # with --out the samples live in the CSV
+        doc = traj._summary() if args.out else traj.to_dict()
         _emit_json(doc, args.json_path)
     if not traj.converged:
         print(f"shoot did not converge: status={traj.status}, "

@@ -1,16 +1,17 @@
 """Adaptive Dormand-Prince 5(4) integrator with PI step-size control.
 
-Small, self-contained embedded pair tailored to the planar fields of
+Small, self-contained embedded pair for the autonomous planar fields of
 this package: dense per-step recording (state and derivative at every
 accepted step, enabling cubic Hermite post-processing), a user stop
 predicate evaluated after each accepted step, and graceful handling of
 stages that leave the field's domain (the step is shrunk instead of
 aborting, so domain exit is reported at the boundary, not past it).
 
-The step loop runs on plain floats, since numpy's per-call overhead
-outweighs the arithmetic of a planar state: the state is a tuple of
-floats, ``field(t, y)`` and ``stop(t, y)`` receive that tuple, and
-``field`` returns a sequence of floats.  numpy only assembles the result.
+The step loop runs on two plain floats, since numpy's per-call overhead
+outweighs the arithmetic of a planar state: ``field(x, y)`` returns the
+pair ``(dx, dy)`` and ``stop(x, y)`` a truth value.  The time t is
+accumulated and recorded but not passed to either.  numpy only
+assembles the result.
 """
 
 from __future__ import annotations
@@ -22,10 +23,10 @@ import numpy as np
 
 from .errors import DomainError
 
-# Dormand-Prince 5(4) tableau without its zero entries; the propagated
-# solution is 5th order and the embedded 4th-order difference drives the
-# error estimate.  FSAL: the last stage is the next step's first stage.
-_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
+# Dormand-Prince 5(4) tableau without its zero entries and its nodes c
+# (the fields are autonomous); the propagated solution is 5th order and
+# the embedded 4th-order difference drives the error estimate.  FSAL:
+# the last stage is the next step's first stage.
 _A21, _A31, _A32 = 1 / 5, 3 / 40, 9 / 40
 _A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
 _A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
@@ -54,10 +55,11 @@ DOMAIN_EXIT = "domain_exit"
 class OdeSolution:
     """Record of one adaptive integration run.
 
-    ``t`` holds the accepted times, ``y`` the states (n, dim) and ``f``
-    the field values at those states; ``status`` is one of ``finished``
-    (reached max_time), ``stopped`` (stop predicate fired), ``max_steps``
-    or ``domain_exit``.  ``nfev`` counts every call of the field.
+    ``t`` holds the accepted times, ``y`` the states (n, 2) and ``f``
+    the field values at those states (n, 2); ``status`` is one of
+    ``finished`` (reached max_time), ``stopped`` (stop predicate fired),
+    ``max_steps`` or ``domain_exit``.  ``nfev`` counts every call of the
+    field.
     """
 
     t: np.ndarray
@@ -72,21 +74,19 @@ class OdeSolution:
 def integrate_adaptive(field, t0: float, y0, max_time: float, *,
                        rtol: float = 1e-10, atol: float = 1e-12,
                        max_steps: int = 200_000, stop=None) -> OdeSolution:
-    """Integrate ``y' = field(t, y)`` forward from ``t0`` until ``max_time``.
+    """Integrate ``(x, y)' = field(x, y)`` from time ``t0`` until ``max_time``.
 
     Parameters
     ----------
     field : callable
-        ``field(t, y) -> sequence of floats``, where ``y`` is a tuple of
-        floats; may raise DomainError, in which case the offending step
-        is shrunk and, below the minimal step size, the run ends with
-        status ``domain_exit``.
-    y0 : sequence of float
-        Initial state, converted to a tuple of floats.
+        ``field(x, y) -> (dx, dy)`` on floats; may raise DomainError, in
+        which case the offending step is shrunk and, below the minimal
+        step size, the run ends with status ``domain_exit``.
+    y0 : pair of float
+        Initial state (x, y), converted to floats.
     stop : callable, optional
-        ``stop(t, y) -> bool`` checked after every accepted step with the
-        new state as a tuple of floats; a truthy value ends the run with
-        status ``stopped``.
+        ``stop(x, y) -> bool`` checked after every accepted step with the
+        new state; a truthy value ends the run with status ``stopped``.
 
     Notes
     -----
@@ -96,23 +96,24 @@ def integrate_adaptive(field, t0: float, y0, max_time: float, *,
     controller.
     """
     t = float(t0)
-    y = tuple(map(float, y0))
+    x, y = map(float, y0)
     nfev = 1
     try:
-        k0 = field(t, y)
+        k0x, k0y = field(x, y)
     except DomainError:
         raise DomainError("initial state outside the field domain")
 
     ts = [t]
-    ys = [y]
-    fs = [k0]
+    xs, ys = [x], [y]
+    fxs, fys = [k0x], [k0y]
 
     # initial step from the scaled sizes of the state and its derivative
-    scale = [atol + rtol * abs(v) for v in y]
-    d0 = max(abs(v) / s for v, s in zip(y, scale))
-    d1 = max(abs(f) / s for f, s in zip(k0, scale))
+    sx = atol + rtol * abs(x)
+    sy = atol + rtol * abs(y)
+    d0 = max(abs(x) / sx, abs(y) / sy)
+    d1 = max(abs(k0x) / sx, abs(k0y) / sy)
     h = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h = min(h, max_time - t0)
+    h = min(h, max_time - t)
     err_prev = 1.0
     status = FINISHED
     steps = 0
@@ -130,50 +131,53 @@ def integrate_adaptive(field, t0: float, y0, max_time: float, *,
 
         try:
             nfev += 1
-            k1 = field(t + _C2 * h, tuple([
-                v + h * (_A21 * a) for v, a in zip(y, k0)]))
+            k1x, k1y = field(x + h * (_A21 * k0x),
+                             y + h * (_A21 * k0y))
             nfev += 1
-            k2 = field(t + _C3 * h, tuple([
-                v + h * (_A31 * a + _A32 * b) for v, a, b in zip(y, k0, k1)]))
+            k2x, k2y = field(x + h * (_A31 * k0x + _A32 * k1x),
+                             y + h * (_A31 * k0y + _A32 * k1y))
             nfev += 1
-            k3 = field(t + _C4 * h, tuple([
-                v + h * (_A41 * a + _A42 * b + _A43 * c)
-                for v, a, b, c in zip(y, k0, k1, k2)]))
+            k3x, k3y = field(x + h * (_A41 * k0x + _A42 * k1x + _A43 * k2x),
+                             y + h * (_A41 * k0y + _A42 * k1y + _A43 * k2y))
             nfev += 1
-            k4 = field(t + _C5 * h, tuple([
-                v + h * (_A51 * a + _A52 * b + _A53 * c + _A54 * d)
-                for v, a, b, c, d in zip(y, k0, k1, k2, k3)]))
+            k4x, k4y = field(x + h * (_A51 * k0x + _A52 * k1x + _A53 * k2x
+                                      + _A54 * k3x),
+                             y + h * (_A51 * k0y + _A52 * k1y + _A53 * k2y
+                                      + _A54 * k3y))
             nfev += 1
-            k5 = field(t + h, tuple([
-                v + h * (_A61 * a + _A62 * b + _A63 * c + _A64 * d
-                         + _A65 * e)
-                for v, a, b, c, d, e in zip(y, k0, k1, k2, k3, k4)]))
-            y_new = tuple([
-                v + h * (_B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * f)
-                for v, a, c, d, e, f in zip(y, k0, k2, k3, k4, k5)])
+            k5x, k5y = field(x + h * (_A61 * k0x + _A62 * k1x + _A63 * k2x
+                                      + _A64 * k3x + _A65 * k4x),
+                             y + h * (_A61 * k0y + _A62 * k1y + _A63 * k2y
+                                      + _A64 * k3y + _A65 * k4y))
+            xn = x + h * (_B1 * k0x + _B3 * k2x + _B4 * k3x + _B5 * k4x
+                          + _B6 * k5x)
+            yn = y + h * (_B1 * k0y + _B3 * k2y + _B4 * k3y + _B5 * k4y
+                          + _B6 * k5y)
             nfev += 1
-            k6 = field(t + h, y_new)
+            k6x, k6y = field(xn, yn)
         except DomainError:
             h *= 0.25
             rejected += 1
             continue
 
-        sq = 0.0
-        for v, vn, a, c, d, e, f, g in zip(y, y_new, k0, k2, k3, k4, k5, k6):
-            r = (h * (_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * f
-                      + _E7 * g) / (atol + rtol * max(abs(v), abs(vn))))
-            sq += r * r
-        err = math.sqrt(sq / len(y))
+        rx = (h * (_E1 * k0x + _E3 * k2x + _E4 * k3x + _E5 * k4x + _E6 * k5x
+                   + _E7 * k6x) / (atol + rtol * max(abs(x), abs(xn))))
+        ry = (h * (_E1 * k0y + _E3 * k2y + _E4 * k3y + _E5 * k4y + _E6 * k5y
+                   + _E7 * k6y) / (atol + rtol * max(abs(y), abs(yn))))
+        sq = rx * rx + ry * ry
+        err = math.sqrt(sq / 2)
 
         if err <= 1.0:
             t += h
-            y = y_new
-            k0 = k6  # FSAL
+            x, y = xn, yn
+            k0x, k0y = k6x, k6y  # FSAL
             steps += 1
             ts.append(t)
+            xs.append(x)
             ys.append(y)
-            fs.append(k6)
-            if stop is not None and stop(t, y):
+            fxs.append(k6x)
+            fys.append(k6y)
+            if stop is not None and stop(x, y):
                 status = STOPPED
                 break
             if err == 0.0:
@@ -186,9 +190,10 @@ def integrate_adaptive(field, t0: float, y0, max_time: float, *,
             rejected += 1
             h *= min(1.0, max(_MIN_FACTOR, _SAFETY * err ** (-1.0 / _ORDER)))
 
-    return OdeSolution(t=np.array(ts), y=np.array(ys),
-                       f=np.array(fs, dtype=float), status=status,
-                       steps=steps, rejected=rejected, nfev=nfev)
+    return OdeSolution(t=np.array(ts), y=np.column_stack((xs, ys)),
+                       f=np.column_stack((fxs, fys)).astype(float, copy=False),
+                       status=status, steps=steps, rejected=rejected,
+                       nfev=nfev)
 
 
 def hermite_extremum_max(t0: float, t1: float, p0: float, p1: float,

@@ -45,8 +45,13 @@ class IntegratorConfig:
                      "v_threshold", "max_time", "max_steps"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if not math.isfinite(self.max_time):
-            raise ValueError(f"max_time must be finite, got {self.max_time!r}")
+        # rel_tol is not checked for finiteness: bench/test_bench.py uses
+        # rel_tol=nan as the job that hangs until its time budget fires
+        for name in ("eps_start", "abs_tol", "converge_radius",
+                     "v_threshold", "max_time"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -96,7 +101,8 @@ class Trajectory:
                 f"{ti!r},{xi!r},{yi!r},{vi!r}\r\n"
                 for ti, xi, yi, vi in zip(*cols)))
 
-    def to_dict(self) -> dict:
+    def _summary(self) -> dict:
+        """``to_dict()`` without the per-sample rows."""
         return {
             "family": self.model.family.value,
             "converged": self.converged,
@@ -104,9 +110,12 @@ class Trajectory:
             "steps": self.steps,
             "max_x": self.max_x,
             "final_state": list(self.final_state),
-            "samples": [[float(v) for v in row] for row in
-                        zip(self.t, self.x, self.y, self.V)],
         }
+
+    def to_dict(self) -> dict:
+        return {**self._summary(),
+                "samples": [[float(v) for v in row] for row in
+                            zip(self.t, self.x, self.y, self.V)]}
 
 
 def shoot_heteroclinic(m: SystemModel,
@@ -127,17 +136,17 @@ def shoot_heteroclinic(m: SystemModel,
     guard = max(DOMAIN_GUARD, 1e-9 * m.x_max if math.isfinite(m.x_max) else 0.0)
     a, b, A, B, z = m.a, m.b, m.A, m.B, m.z
 
-    def fieldfn(t, s):
-        x, y = s
-        if not (0.0 <= x < m.x_max - guard) or y < 0.0:
+    x_hi = m.x_max - guard
+
+    def fieldfn(x, y):
+        if not (0.0 <= x < x_hi) or y < 0.0:
             raise DomainError("state left the admissible domain")
         return (y - x, a(x) * y - b(x) * y * y)
 
     r2 = cfg.converge_radius ** 2
 
-    def arrived(t, s):
+    def arrived(x, y):
         # V on floats; the field validated this state at the FSAL stage
-        x, y = s
         if (x - z) ** 2 + (y - z) ** 2 <= r2:
             return True
         return (y > 0.0 and z * B(x) - A(x) + y - z - z * math.log(y / z)

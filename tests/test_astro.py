@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import starphase as sp
 from starphase.astro import G_SI, TableRow, mass_radius_table, to_physical
@@ -53,6 +55,30 @@ class TestToPhysical:
         for name in ("stiff", "kappa", "scaled"):
             prof = to_physical(trajectories[name])
             assert float(prof.compactness.max()) < 1.0
+
+    @pytest.mark.parametrize("sigma", [0.5, 8.0 * math.pi])
+    def test_scaled_state_is_stiff_state_times_sigma(self, models, sigma):
+        # (sigma x, sigma y) of the scaled member solves the stiff system,
+        # so both states describe the same star
+        x, y = 0.3 / sigma, 0.4 / sigma
+        scaled = to_physical(make_traj(sp.model("scaled", scale=sigma),
+                                       [0.0], [x], [y]))
+        stiff = to_physical(make_traj(models["stiff"], [0.0],
+                                      [sigma * x], [sigma * y]))
+        for col in ("compactness", "m", "rho", "p"):
+            np.testing.assert_allclose(getattr(scaled, col),
+                                       getattr(stiff, col), rtol=1e-15)
+
+    @settings(max_examples=15, deadline=None)
+    @given(e=st.floats(-3.0, 3.0))
+    def test_scaled_compactness_below_one(self, e):
+        # to_physical on scaled(0.5) read the bare x: compactness 1.087
+        s = 10.0 ** e
+        traj = sp.shoot_heteroclinic(sp.model("scaled", scale=s))
+        prof = to_physical(traj)
+        assert float(prof.compactness.max()) < 1.0
+        np.testing.assert_allclose(2.0 * prof.m / prof.r, prof.compactness,
+                                   rtol=1e-13)
 
     def test_mass_nondecreasing_density_nonnegative(self, trajectories):
         prof = to_physical(trajectories["stiff"])

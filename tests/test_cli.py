@@ -135,6 +135,30 @@ class TestTrajectory:
         assert out == ""
         assert "max_time must be finite" in err
 
+    # --rtol nan looped until killed; --rtol inf integrated to max_time
+    @pytest.mark.parametrize("flag,name", [("--rtol", "--rtol"),
+                                           ("--eps", "eps_start")])
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_tolerance_exit_3(self, capsys, flag, name, value):
+        code, out, err = run(capsys, "trajectory", "--model", "stiff",
+                             flag, value)
+        assert code == 3
+        assert out == ""
+        assert f"{name} must be finite" in err
+
+    def test_summary_json_is_stdout_json_without_samples(self, capsys,
+                                                         tmp_path):
+        csv_path, json_path = tmp_path / "orbit.csv", tmp_path / "orbit.json"
+        code, _, _ = run(capsys, "trajectory", "--model", "kappa",
+                         "--out", str(csv_path), "--json", str(json_path))
+        assert code == 0
+        code, out, _ = run(capsys, "trajectory", "--model", "kappa")
+        assert code == 0
+        full = json.loads(out)
+        assert len(full.pop("samples")) == full["steps"] + 1
+        assert json_path.read_text() == json.dumps(
+            full, indent=2, sort_keys=True) + "\n"
+
     def test_nonconvergence_exit_4(self, capsys):
         code, _, err = run(capsys, "trajectory", "--model", "stiff",
                            "--max-time", "1.0")
