@@ -175,35 +175,40 @@ def portrait_svg(m: SystemModel, x_range, y_range, nx: int, ny: int,
     if finite.size:
         vmin = float(np.nanmin(finite))
         vmax = float(np.nanquantile(finite, 0.85))
-        for q in np.linspace(0.0, 1.0, levels + 2)[1:-1]:
-            level = vmin + q * (vmax - vmin)
-            for line in marching_squares(grid, level):
-                pts = " ".join(f"{to_px(x, y)[0]:.2f},{to_px(x, y)[1]:.2f}"
-                               for x, y in line)
+        lines = [line
+                 for q in np.linspace(0.0, 1.0, levels + 2)[1:-1]
+                 for line in marching_squares(grid, vmin + q * (vmax - vmin))]
+        if lines:
+            # every vertex of every polyline mapped in one numpy pass
+            xy = np.array([p for line in lines for p in line])
+            px, py = to_px(xy[:, 0], xy[:, 1])
+            coords = [f"{a:.2f},{b:.2f}"
+                      for a, b in zip(px.tolist(), py.tolist())]
+            k = 0
+            for line in lines:
+                pts = " ".join(coords[k:k + len(line)])
+                k += len(line)
                 parts.append(f'<polyline points="{pts}" fill="none" '
                              f'stroke="#7a5fc0" stroke-width="1"/>')
 
-    # arrows on a thinned sub-grid
+    # arrows on a thinned sub-grid, in (i, j) row-major order
     step_i = max(1, len(grid.xs) // 24)
     step_j = max(1, len(grid.ys) // 24)
     arrow = 0.35 * min((x1 - x0) / max(len(grid.xs) - 1, 1) * step_i,
                        (y1 - y0) / max(len(grid.ys) - 1, 1) * step_j)
-    for i in range(0, len(grid.xs), step_i):
-        for j in range(0, len(grid.ys), step_j):
-            if not grid.valid[i, j]:
-                continue
-            u, w = U[i, j], W[i, j]
-            norm = float(np.hypot(u, w))
-            if norm == 0.0:
-                continue
-            x, y = grid.xs[i], grid.ys[j]
-            tip = (x + arrow * u / norm, y + arrow * w / norm)
-            ax, ay = to_px(x, y)
-            bx, by = to_px(*tip)
-            parts.append(f'<line x1="{ax:.2f}" y1="{ay:.2f}" x2="{bx:.2f}" '
-                         f'y2="{by:.2f}" stroke="#444" stroke-width="0.8"/>')
-            parts.append(f'<circle cx="{bx:.2f}" cy="{by:.2f}" r="1.2" '
-                         f'fill="#444"/>')
+    sub = (slice(None, None, step_i), slice(None, None, step_j))
+    X, Y = np.meshgrid(grid.xs[sub[0]], grid.ys[sub[1]], indexing="ij")
+    u, w = U[sub], W[sub]
+    norm = np.hypot(u, w)
+    keep = grid.valid[sub] & (norm != 0.0)
+    u, w, norm, x, y = u[keep], w[keep], norm[keep], X[keep], Y[keep]
+    tail = to_px(x, y)
+    tip = to_px(x + arrow * u / norm, y + arrow * w / norm)
+    for ax, ay, bx, by in zip(*(c.tolist() for c in tail + tip)):
+        parts.append(f'<line x1="{ax:.2f}" y1="{ay:.2f}" x2="{bx:.2f}" '
+                     f'y2="{by:.2f}" stroke="#444" stroke-width="0.8"/>')
+        parts.append(f'<circle cx="{bx:.2f}" cy="{by:.2f}" r="1.2" '
+                     f'fill="#444"/>')
 
     zx, zy = to_px(m.z, m.z)
     parts.append(f'<circle cx="{zx:.2f}" cy="{zy:.2f}" r="3.5" '

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq as scipy_brentq
 
 import starphase as sp
 from starphase import bounds, lyapunov, rootfind
@@ -39,9 +40,16 @@ def bisect_level(m, level, lo, hi, iters=200):
 
 def reference_invert_H(m, level):
     """``invert_H``'s solve on the checked objective H(m, x) - level that
-    it replaced, kept as the bit-for-bit oracle."""
-    return rootfind.solve_bracketed(lambda x: sp.H(m, x) - level, m.z,
-                                    m.x_max - DOMAIN_GUARD)
+    it replaced, kept as the bit-for-bit oracle: the package's bracket
+    walk, then scipy's brentq, so the oracle does not share the solver
+    under test."""
+    def f(x):
+        return sp.H(m, x) - level
+
+    a, b = rootfind.expand_bracket(f, m.z, m.x_max - DOMAIN_GUARD)
+    if a == b:
+        return a
+    return scipy_brentq(f, a, b, xtol=rootfind.ROOT_XTOL)
 
 
 def mesh_slope_check(m, n):

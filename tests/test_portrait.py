@@ -10,7 +10,7 @@ import pytest
 import starphase as sp
 from starphase.lyapunov import LevelSetGrid
 from starphase.portrait import default_ranges, field_grid, marching_squares
-from starphase.portrait import portrait_csv
+from starphase.portrait import portrait_csv, portrait_svg
 
 
 # -- reference implementation: per-cell marching squares with a greedy
@@ -298,6 +298,104 @@ class TestCsvBytes:
         assert new.read_bytes() == ref.read_bytes()
 
 
+# -- SVG bytes against the per-point pixel mapping
+
+def reference_portrait_svg(m, x_range, y_range, nx, ny, path, levels=8,
+                           width=640, height=480):
+    """``portrait_svg`` as it mapped each vertex and arrow to pixels one
+    scalar call at a time; kept as the byte-for-byte oracle."""
+    grid, U, W = field_grid(m, x_range, y_range, nx, ny)
+    x0, x1 = x_range
+    y0, y1 = y_range
+    if not (x1 > x0 and y1 > y0):
+        raise ValueError(f"SVG plot box needs x1 > x0 and y1 > y0, got x "
+                         f"range {tuple(x_range)} and y range "
+                         f"{tuple(y_range)}")
+    pad = 10.0
+
+    def to_px(x, y):
+        px = pad + (x - x0) / (x1 - x0) * (width - 2 * pad)
+        py = height - pad - (y - y0) / (y1 - y0) * (height - 2 * pad)
+        return px, py
+
+    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+             f'height="{height}" viewBox="0 0 {width} {height}">',
+             f'<rect width="{width}" height="{height}" fill="white"/>']
+
+    finite = grid.values[grid.valid]
+    if finite.size:
+        vmin = float(np.nanmin(finite))
+        vmax = float(np.nanquantile(finite, 0.85))
+        for q in np.linspace(0.0, 1.0, levels + 2)[1:-1]:
+            level = vmin + q * (vmax - vmin)
+            for line in marching_squares(grid, level):
+                pts = " ".join(f"{to_px(x, y)[0]:.2f},{to_px(x, y)[1]:.2f}"
+                               for x, y in line)
+                parts.append(f'<polyline points="{pts}" fill="none" '
+                             f'stroke="#7a5fc0" stroke-width="1"/>')
+
+    # arrows on a thinned sub-grid
+    step_i = max(1, len(grid.xs) // 24)
+    step_j = max(1, len(grid.ys) // 24)
+    arrow = 0.35 * min((x1 - x0) / max(len(grid.xs) - 1, 1) * step_i,
+                       (y1 - y0) / max(len(grid.ys) - 1, 1) * step_j)
+    for i in range(0, len(grid.xs), step_i):
+        for j in range(0, len(grid.ys), step_j):
+            if not grid.valid[i, j]:
+                continue
+            u, w = U[i, j], W[i, j]
+            norm = float(np.hypot(u, w))
+            if norm == 0.0:
+                continue
+            x, y = grid.xs[i], grid.ys[j]
+            tip = (x + arrow * u / norm, y + arrow * w / norm)
+            ax, ay = to_px(x, y)
+            bx, by = to_px(*tip)
+            parts.append(f'<line x1="{ax:.2f}" y1="{ay:.2f}" x2="{bx:.2f}" '
+                         f'y2="{by:.2f}" stroke="#444" stroke-width="0.8"/>')
+            parts.append(f'<circle cx="{bx:.2f}" cy="{by:.2f}" r="1.2" '
+                         f'fill="#444"/>')
+
+    zx, zy = to_px(m.z, m.z)
+    parts.append(f'<circle cx="{zx:.2f}" cy="{zy:.2f}" r="3.5" '
+                 f'fill="#d0504e"/>')
+    ox, oy = to_px(0.0, 0.0)
+    parts.append(f'<circle cx="{ox:.2f}" cy="{oy:.2f}" r="3.5" fill="none" '
+                 f'stroke="#d0504e" stroke-width="1.5"/>')
+    parts.append("</svg>")
+
+    with open(path, "w") as fh:
+        fh.write("\n".join(parts))
+
+
+class TestSvgBytes:
+    @pytest.mark.parametrize("grid_n", [24, 57, 96])
+    @pytest.mark.parametrize("box", [0, 2, 3])
+    def test_portrait_svg_matches_scalar_mapping(self, each_model, box,
+                                                 grid_n, tmp_path):
+        xr, yr, _, _ = grid_cases(each_model)[box]
+        new, ref = tmp_path / "new.svg", tmp_path / "ref.svg"
+        portrait_svg(each_model, xr, yr, grid_n, grid_n, new)
+        reference_portrait_svg(each_model, xr, yr, grid_n, grid_n, ref)
+        assert new.read_bytes() == ref.read_bytes()
+
+    @pytest.mark.parametrize("grid_n", [25, 97])
+    @pytest.mark.parametrize("name", ["nonrel", "stiff"])
+    def test_zero_field_node_drops_its_arrow(self, models, name, grid_n,
+                                             tmp_path):
+        """A box with (z, z) on a sub-grid node, where the field is
+        exactly zero and no arrow is drawn."""
+        m = models[name]
+        xr, yr = (0.0, 2.0 * m.z), (0.5 * m.z, 1.5 * m.z)
+        _, U, W = field_grid(m, xr, yr, grid_n, grid_n)
+        mid = (grid_n - 1) // 2
+        assert U[mid, mid] == 0.0 and W[mid, mid] == 0.0
+        new, ref = tmp_path / "new.svg", tmp_path / "ref.svg"
+        portrait_svg(m, xr, yr, grid_n, grid_n, new)
+        reference_portrait_svg(m, xr, yr, grid_n, grid_n, ref)
+        assert new.read_bytes() == ref.read_bytes()
+
+
 # -- plot box validation
 
 class TestPlotBox:
@@ -313,7 +411,6 @@ class TestPlotBox:
         ((0.1, 0.1), (0.1, 1.0)), ((0.1, 0.9), (0.5, 0.5))])
     def test_svg_rejects_degenerate_box(self, models, x_range, y_range,
                                         tmp_path):
-        from starphase.portrait import portrait_svg
         path = tmp_path / "p.svg"
         with pytest.raises(ValueError, match="x1 > x0 and y1 > y0"):
             portrait_svg(models["stiff"], x_range, y_range, 6, 6, path)
