@@ -35,9 +35,9 @@ import numpy as np
 from . import rootfind
 from .errors import ConvergenceError, DomainError, HypothesisError
 from .lambertw import lambert_w
-from .lyapunov import H, H_unchecked
+from .lyapunov import H
 from .models import (DOMAIN_GUARD, Family, ModelSpec, SystemModel, find_w,
-                     find_z, make_model, r_factor)
+                     find_z, make_model)
 
 #: demanded agreement between the closed form and the H inversion
 CLOSED_FORM_TOL = 1e-9
@@ -74,9 +74,10 @@ def invert_H(m: SystemModel, level: float) -> float:
         raise DomainError("H levels are nonnegative on [z, x_max)")
     # every probe of the bracket walk and of brentq lies in
     # [z, x_max - DOMAIN_GUARD), so H's domain is checked once, at z
-    m.check_x(m.z)
+    if not 0.0 <= m.z < m.x_max - DOMAIN_GUARD:
+        m.check_x(m.z)
     try:
-        return rootfind.solve_bracketed(lambda x: H_unchecked(m, x) - level,
+        return rootfind.solve_bracketed(lambda x: m.H(x) - level,
                                         m.z, m.x_max - DOMAIN_GUARD)
     except ConvergenceError:
         sup = H(m, m.x_max - 2.0 * max(DOMAIN_GUARD, 1e-15 * m.x_max)) \
@@ -109,6 +110,24 @@ def closed_form_X(m: SystemModel) -> float:
     return m.x_max + (m.x_max - m.z) * lambert_w(-math.exp(-1.0 - E / Q))
 
 
+def _linspace(start: float, stop: float, num: int) -> np.ndarray:
+    """``np.linspace(start, stop, num)`` bit for bit, for float ends and
+    num >= 1, without its per-call overhead: the same operations on the
+    same values, the subnormal-step and single-sample paths included."""
+    y = np.arange(num, dtype=float)
+    div, delta = num - 1, stop - start
+    if div > 0 and delta / div != 0.0:
+        y *= delta / div
+    else:
+        if div > 0:
+            y /= div
+        y *= delta
+    y += start
+    if div > 0:
+        y[-1] = stop
+    return y
+
+
 def check_hypotheses(m: SystemModel, n: int = 200) -> None:
     """Sampled verification of the four structural hypotheses behind the
     bound: sign conditions on b, a(0) and r, the w crossing identity with
@@ -122,21 +141,24 @@ def check_hypotheses(m: SystemModel, n: int = 200) -> None:
     w = find_w(m)  # also enforces (a0+1)w > z >= w > 0
 
     hi = 0.95 * m.x_max if math.isfinite(m.x_max) else 4.0 * m.z
-    xs = np.linspace(0.0, hi, 4 * n)
+    xs = _linspace(0.0, hi, 4 * n)
     bs = np.asarray(m.b(xs), dtype=float)
-    if np.any(bs < 0.0):
+    if (bs < 0.0).any():
         i = int(np.argmin(bs))
         raise HypothesisError(f"b < 0 at x = {xs[i]}", point=(float(xs[i]),))
-    rs = np.asarray(r_factor(m, xs), dtype=float)
-    if np.any(rs < -1e-12):
+    # the r sample spans [0, hi], so its domain check is the one at hi
+    if not 0.0 <= hi < m.x_max - DOMAIN_GUARD:
+        m.check_x(xs)
+    rs = np.asarray(m.r(xs), dtype=float)
+    if (rs < -1e-12).any():
         i = int(np.argmin(rs))
         raise HypothesisError(f"r < 0 at x = {xs[i]}", point=(float(xs[i]),))
 
-    xs_w = np.linspace(w / n, w, n)
+    xs_w = _linspace(w / n, w, n)
     lhs = (m.a0 + 1.0) * w * np.asarray(m.b(xs_w), dtype=float)
     rhs = np.asarray(m.a(xs_w), dtype=float) - m.a0
     gap = rhs - lhs
-    if np.any(gap > 1e-12):
+    if (gap > 1e-12).any():
         i = int(np.argmax(gap))
         raise HypothesisError(
             f"(a0+1) w b(x) >= a(x) - a(0) fails at x = {xs_w[i]}",
@@ -146,11 +168,11 @@ def check_hypotheses(m: SystemModel, n: int = 200) -> None:
     # in y: on each abscissa its maximum over y in [z, (a0+1) w] is at one
     # of the two ends, bit for bit, so testing those two ordinates decides
     # the condition as any mesh of ordinates would
-    xr = np.linspace(w, m.z, n)[:, None]
+    xr = _linspace(w, m.z, n)[:, None]
     yr = np.array([m.z, (m.a0 + 1.0) * w])
     slope_cond = np.asarray(m.a_prime(xr), dtype=float) \
         - np.asarray(m.b_prime(xr), dtype=float) * yr
-    if np.any(slope_cond >= 0.0):
+    if (slope_cond >= 0.0).any():
         i, j = np.unravel_index(int(np.argmax(slope_cond)), slope_cond.shape)
         raise HypothesisError(
             f"a' - b' y < 0 fails at ({xr[i, 0]}, {yr[j]})",

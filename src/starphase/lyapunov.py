@@ -11,6 +11,9 @@ orbits; its orbital derivative has the closed form
 
 ``H(x) = z B(x) - A(x)`` restricted to x >= z is strictly increasing and
 is inverted by the bounds module to turn an energy excess into an x bound.
+Both H and the structural factor r(x) = (z b(x) - a(x))/(x - z) are read
+from the model's closed forms ``m.H`` and ``m.r`` (see
+``starphase.models``); V is evaluated as ``m.H(x) + y - z - z log(y/z)``.
 """
 
 from __future__ import annotations
@@ -21,14 +24,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .models import DOMAIN_GUARD, SystemModel, r_factor
+from .models import DOMAIN_GUARD, SystemModel
 
 
 def lyapunov_value(m: SystemModel, x, y):
     """V(x, y); zero at (z, z) by normalisation.  Requires y > 0."""
     m.check_xy(x, y, y_positive=True)
     y = np.asarray(y, dtype=float)
-    val = m.z * m.B(x) - m.A(x) + y - m.z - m.z * np.log(y / m.z)
+    val = m.H(x) + y - m.z - m.z * np.log(y / m.z)
     return val if val.ndim else float(val)
 
 
@@ -50,7 +53,7 @@ def lyapunov_derivative(m: SystemModel, x, y):
     m.check_xy(x, y, y_positive=True)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    val = -m.b(x) * np.square(y - m.z) - r_factor(m, x) * np.square(m.z - x)
+    val = -m.b(x) * np.square(y - m.z) - m.r(x) * np.square(m.z - x)
     return val if np.ndim(val) else float(val)
 
 
@@ -60,14 +63,8 @@ def H(m: SystemModel, x):
     if np.any(x_arr < m.z - 1e-12):
         raise DomainError(f"H is defined for x >= z = {m.z}")
     m.check_x(x)
-    val = H_unchecked(m, x_arr)
+    val = m.H(x_arr)
     return val if val.ndim else float(val)
-
-
-def H_unchecked(m: SystemModel, x):
-    """z B(x) - A(x) without H's domain checks, for callers that keep x
-    in [z, x_max - DOMAIN_GUARD) themselves; takes floats or arrays."""
-    return m.z * m.B(x) - m.A(x)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,12 @@ X = x_max + (x_max - z) W0(-exp(-1 - E/Q)), Q = (2 + beta)(x_max - z)
 
 Primitives are stored pre-shifted so A(z) = B(z) = 0 at the interior
 stationary point z, which normalises the Lyapunov function to vanish at
-(z, z).  All coefficient callables accept scalars or numpy arrays.
+(z, z).  Two derived callables have closed forms: the structural factor
+r(x) = (z b(x) - a(x))/(x - z), which is c/(1 - s x) with c = (2 + beta) s
+(1 for ``nonrel``) and so has no singularity at z, and the level map
+H(x) = z B(x) - A(x), evaluated as one expression that takes
+log1p(-s x) once and returns ``z*B(x) - A(x)`` bit for bit.  All
+coefficient callables accept scalars or numpy arrays.
 """
 
 from __future__ import annotations
@@ -36,9 +41,6 @@ from .rootfind import solve_bracketed
 
 #: evaluation rejects x >= x_max - DOMAIN_GUARD to avoid pole overflow
 DOMAIN_GUARD = 1e-12
-
-#: |x - z| below this: r_factor switches to its derivative limit
-SINGULARITY_GUARD = 1e-7
 
 #: agreement demanded between closed-form constants and the numeric root
 VERIFY_TOL = 1e-9
@@ -113,6 +115,14 @@ class SystemModel:
         Their derivatives.
     A, B : callable
         Primitives of a and b, shifted so ``A(z) = B(z) = 0``.
+    r : callable
+        Structural factor (z b(x) - a(x))/(x - z) in closed form,
+        c/(1 - s x) with c = (2 + beta) s, and 1 for ``nonrel``; finite
+        at x = z, where it equals the limit z b'(z) - a'(z).
+    H : callable
+        Level map z B(x) - A(x), bit-identical to that expression on
+        floats and arrays (the sign of the zero at x = z included).
+        ``make_model`` builds both; a hand-built model must supply them.
     x_max : float
         Right end of the admissible x interval (pole of a, b or +inf).
     a0 : float
@@ -131,6 +141,8 @@ class SystemModel:
     b_prime: Callable
     A: Callable
     B: Callable
+    r: Callable
+    H: Callable
     x_max: float
     a0: float
     z: float
@@ -172,15 +184,20 @@ def make_model(spec: ModelSpec) -> SystemModel:
         b = lambda x: x * 0.0
         a_prime = lambda x: np.asarray(x, dtype=float) * 0.0 - 1.0
         b_prime = lambda x: np.asarray(x, dtype=float) * 0.0
-        A_raw = lambda x: 2.0 * x - np.square(x) / 2.0
-        B_raw = lambda x: np.asarray(x, dtype=float) * 0.0
+        # A(z) = 4 - 2 - 2 = 0 and B = 0 exactly
+        A = lambda x: 2.0 * x - np.square(x) / 2.0 - 2.0
+        B = lambda x: np.asarray(x, dtype=float) * 0.0
+        r = lambda x: x * 0.0 + 1.0
+        # z B(x) is +0.0 on the domain, so z B(x) - A(x) is 0.0 - A(x)
+        H = lambda x: 0.0 - A(x)
         x_max = math.inf
         b_is_zero = True
     else:
         k, s = spec.ks
         beta = (1.0 + k) / (2.0 * k)
         gamma = (1.0 + k) / 2.0
-        c, gs = (2.0 + beta) * s, gamma * s
+        P = 2.0 + beta
+        c, gs = P * s, gamma * s
         z = 4.0 * k / ((k + 1.0) ** 2 + 4.0 * k) / s
         w = 4.0 * k / (3.0 * k * k + 8.0 * k + 1.0) / s
         x0 = 4.0 * k / (1.0 + 5.0 * k) / s
@@ -188,20 +205,25 @@ def make_model(spec: ModelSpec) -> SystemModel:
         b = lambda x: gs / (1.0 - s * x)
         a_prime = lambda x: -beta * s / np.square(1.0 - s * x)
         b_prime = lambda x: gs * s / np.square(1.0 - s * x)
-        A_raw = lambda x: (2.0 + beta) * x + beta * np.log1p(-s * x) / s
-        B_raw = lambda x: -gamma * np.log1p(-s * x)
+        # the primitives are shifted by their own float value at z, so
+        # A(z) = B(z) = 0 exactly
+        L_z = np.log1p(-s * z)
+        A_z, B_z = float(P * z + beta * L_z / s), float(-gamma * L_z)
+        A = lambda x: P * x + beta * np.log1p(-s * x) / s - A_z
+        B = lambda x: -gamma * np.log1p(-s * x) - B_z
+        # z b - a = c (x - z)/(1 - s x), since a(z) = z b(z)
+        r = lambda x: c / (1.0 - s * x)
+
+        def H(x):
+            # z * B(x) - A(x) with the logarithm taken once
+            L = np.log1p(-s * x)
+            return z * (-gamma * L - B_z) - (P * x + beta * L / s - A_z)
+
         x_max = 1.0 / s
         b_is_zero = False
 
-    # shift the primitives so that A(z) = B(z) = 0 exactly (same float
-    # expression is subtracted, so the residue at z is identically zero)
-    A_shift = float(A_raw(z))
-    B_shift = float(B_raw(z))
-    A = lambda x: A_raw(x) - A_shift
-    B = lambda x: B_raw(x) - B_shift
-
     return SystemModel(spec=spec, a=a, b=b, a_prime=a_prime, b_prime=b_prime,
-                       A=A, B=B, x_max=x_max, a0=float(a(0.0)),
+                       A=A, B=B, r=r, H=H, x_max=x_max, a0=float(a(0.0)),
                        z=z, w=w, x0=x0, b_is_zero=b_is_zero)
 
 
@@ -267,20 +289,12 @@ def find_x0(m: SystemModel) -> float:
 
 
 def r_factor(m: SystemModel, x):
-    """Structural factor r(x) = (z b(x) - a(x)) / (x - z).
-
-    The quotient has a removable singularity at x = z; inside the
-    SINGULARITY_GUARD band the derivative limit z b'(z) - a'(z) is used
-    instead.  Vectorised over x.
-    """
+    """Structural factor r(x) = (z b(x) - a(x)) / (x - z), read from the
+    model's closed form ``m.r``, which is regular at x = z.  Vectorised
+    over x."""
     m.check_x(x)
-    x = np.asarray(x, dtype=float)
-    limit = r_at_z(m)
-    near = np.abs(x - m.z) < SINGULARITY_GUARD
-    denom = np.where(near, 1.0, x - m.z)
-    quotient = (m.z * m.b(x) - m.a(x)) / denom
-    out = np.where(near, limit, quotient)
-    return out if out.ndim else float(out)
+    r = m.r(np.asarray(x, dtype=float))
+    return r if np.ndim(r) else float(r)
 
 
 def r_at_z(m: SystemModel) -> float:

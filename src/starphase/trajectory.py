@@ -134,7 +134,7 @@ def shoot_heteroclinic(m: SystemModel,
                          f"inside the trap region), got {eps!r}")
     y0 = (eps, (m.a0 + 1.0) * eps)
     guard = max(DOMAIN_GUARD, 1e-9 * m.x_max if math.isfinite(m.x_max) else 0.0)
-    a, b, A, B, z = m.a, m.b, m.A, m.B, m.z
+    a, b, H, z = m.a, m.b, m.H, m.z
 
     x_hi = m.x_max - guard
 
@@ -149,7 +149,7 @@ def shoot_heteroclinic(m: SystemModel,
         # V on floats; the field validated this state at the FSAL stage
         if (x - z) ** 2 + (y - z) ** 2 <= r2:
             return True
-        return (y > 0.0 and z * B(x) - A(x) + y - z - z * math.log(y / z)
+        return (y > 0.0 and H(x) + y - z - z * math.log(y / z)
                 <= cfg.v_threshold)
 
     sol = integrate.integrate_adaptive(

@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from hypothesis import strategies as st
+
 import starphase as sp
 from starphase import rootfind
+from starphase.models import DOMAIN_GUARD
 
 #: the four families exercised throughout the suite (kappa at the
 #: radiation border 1/3; scaled at the default sigma = 8 pi)
@@ -16,6 +19,27 @@ FAMILY_ARGS = {
 }
 
 SIGMA = 8.0 * math.pi
+
+
+def drawn_models():
+    """Hypothesis strategy over the members: the four presets, ``kappa``
+    with kappa log-uniform in [1e-3, 1] and ``scaled`` with scale
+    log-uniform in [1e-3, 1e3]."""
+    return st.one_of(
+        st.sampled_from(list(FAMILY_ARGS)).map(
+            lambda name: sp.model(name, **FAMILY_ARGS[name])),
+        st.floats(-3.0, 0.0).map(lambda e: sp.model("kappa", kappa=10.0 ** e)),
+        st.floats(-3.0, 3.0).map(
+            lambda e: sp.model("scaled", scale=10.0 ** e)))
+
+
+@st.composite
+def drawn_points(draw, m):
+    """One x in [0, x_max - DOMAIN_GUARD) of member ``m``, x = z included
+    (x below 100 z for the unbounded ``nonrel`` domain)."""
+    hi = m.x_max - DOMAIN_GUARD if math.isfinite(m.x_max) else 100.0 * m.z
+    return draw(st.one_of(st.just(m.z),
+                          st.floats(0.0, hi, exclude_max=True)))
 
 
 @pytest.fixture(scope="session")

@@ -1,0 +1,85 @@
+"""Oracles for the closed-form ``r`` and the hypothesis check.
+
+``reference_r_factor`` is the guarded quotient that ``models.r_factor``
+was before the model carried r in closed form: it divides z b(x) - a(x)
+by x - z and returns the derivative limit inside the absolute band
+|x - z| < SINGULARITY_GUARD.  ``reference_check_hypotheses`` is
+``bounds.check_hypotheses`` as it was when it sampled r through that
+quotient and built its grids with ``np.linspace``.  Both are kept
+verbatim apart from their names.
+"""
+
+import math
+
+import numpy as np
+
+from starphase.errors import HypothesisError
+from starphase.models import SystemModel, find_w, r_at_z
+
+#: |x - z| below this: the quotient switches to its derivative limit
+SINGULARITY_GUARD = 1e-7
+
+
+def reference_r_factor(m: SystemModel, x):
+    """Structural factor r(x) = (z b(x) - a(x)) / (x - z).
+
+    The quotient has a removable singularity at x = z; inside the
+    SINGULARITY_GUARD band the derivative limit z b'(z) - a'(z) is used
+    instead.  Vectorised over x.
+    """
+    m.check_x(x)
+    x = np.asarray(x, dtype=float)
+    limit = r_at_z(m)
+    near = np.abs(x - m.z) < SINGULARITY_GUARD
+    denom = np.where(near, 1.0, x - m.z)
+    quotient = (m.z * m.b(x) - m.a(x)) / denom
+    out = np.where(near, limit, quotient)
+    return out if out.ndim else float(out)
+
+
+def reference_check_hypotheses(m: SystemModel, n: int = 200) -> None:
+    """Sampled verification of the four structural hypotheses behind the
+    bound: sign conditions on b, a(0) and r, the w crossing identity with
+    its ordering, the tangent-line inequality below w, and the isocline
+    slope condition on the rectangle [w, z] x [z, (a0+1) w].
+
+    Raises HypothesisError naming the failing condition and a witness.
+    """
+    if m.a0 <= 0.0:
+        raise HypothesisError(f"a(0) = {m.a0} is not positive")
+    w = find_w(m)  # also enforces (a0+1)w > z >= w > 0
+
+    hi = 0.95 * m.x_max if math.isfinite(m.x_max) else 4.0 * m.z
+    xs = np.linspace(0.0, hi, 4 * n)
+    bs = np.asarray(m.b(xs), dtype=float)
+    if np.any(bs < 0.0):
+        i = int(np.argmin(bs))
+        raise HypothesisError(f"b < 0 at x = {xs[i]}", point=(float(xs[i]),))
+    rs = np.asarray(reference_r_factor(m, xs), dtype=float)
+    if np.any(rs < -1e-12):
+        i = int(np.argmin(rs))
+        raise HypothesisError(f"r < 0 at x = {xs[i]}", point=(float(xs[i]),))
+
+    xs_w = np.linspace(w / n, w, n)
+    lhs = (m.a0 + 1.0) * w * np.asarray(m.b(xs_w), dtype=float)
+    rhs = np.asarray(m.a(xs_w), dtype=float) - m.a0
+    gap = rhs - lhs
+    if np.any(gap > 1e-12):
+        i = int(np.argmax(gap))
+        raise HypothesisError(
+            f"(a0+1) w b(x) >= a(x) - a(0) fails at x = {xs_w[i]}",
+            point=(float(xs_w[i]),))
+
+    # a' and b' depend on x only, and the rounded a' - b' y is monotone
+    # in y: on each abscissa its maximum over y in [z, (a0+1) w] is at one
+    # of the two ends, bit for bit, so testing those two ordinates decides
+    # the condition as any mesh of ordinates would
+    xr = np.linspace(w, m.z, n)[:, None]
+    yr = np.array([m.z, (m.a0 + 1.0) * w])
+    slope_cond = np.asarray(m.a_prime(xr), dtype=float) \
+        - np.asarray(m.b_prime(xr), dtype=float) * yr
+    if np.any(slope_cond >= 0.0):
+        i, j = np.unravel_index(int(np.argmax(slope_cond)), slope_cond.shape)
+        raise HypothesisError(
+            f"a' - b' y < 0 fails at ({xr[i, 0]}, {yr[j]})",
+            point=(float(xr[i, 0]), float(yr[j])))

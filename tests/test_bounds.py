@@ -12,7 +12,8 @@ from starphase.bounds import (STIFF_LAMBERT_ARG, check_hypotheses,
                               closed_form_X, kappa_sweep, sweep_to_csv)
 from starphase.models import DOMAIN_GUARD, SystemModel
 
-from conftest import count_root_solves
+from conftest import count_root_solves, drawn_models
+from reference_models import reference_check_hypotheses
 
 LOG2 = math.log(2.0)
 LOG3 = math.log(3.0)
@@ -69,12 +70,20 @@ def mesh_slope_check(m, n):
 
 
 def hypothesis_outcome(check, m, n):
-    """None when ``check(m, n)`` passes, else its message and witness."""
+    """None when ``check(m, n)`` passes, else its error type, message and
+    witness."""
     try:
         check(m, n)
-    except sp.HypothesisError as exc:
-        return str(exc), exc.point
+    except (sp.HypothesisError, sp.DomainError) as exc:
+        return type(exc), str(exc), getattr(exc, "point", None)
     return None
+
+
+def assert_matches_reference(m, n=200):
+    """``check_hypotheses`` and its oracle agree on pass or fail, on the
+    error type and message, and on the witness point."""
+    assert (hypothesis_outcome(check_hypotheses, m, n)
+            == hypothesis_outcome(reference_check_hypotheses, m, n))
 
 
 def with_slopes(base, a_prime=None, b_prime=None):
@@ -83,8 +92,9 @@ def with_slopes(base, a_prime=None, b_prime=None):
     return SystemModel(
         spec=base.spec, a=base.a, b=base.b,
         a_prime=a_prime or base.a_prime, b_prime=b_prime or base.b_prime,
-        A=base.A, B=base.B, x_max=base.x_max, a0=base.a0,
-        z=base.z, w=base.w, x0=base.x0, b_is_zero=base.b_is_zero)
+        A=base.A, B=base.B, r=base.r, H=base.H, x_max=base.x_max,
+        a0=base.a0, z=base.z, w=base.w, x0=base.x0,
+        b_is_zero=base.b_is_zero)
 
 
 class TestExcess:
@@ -175,10 +185,11 @@ class TestInvertH:
         base = models["stiff"]
         bad = SystemModel(
             spec=base.spec, a=base.a, b=base.b, a_prime=base.a_prime,
-            b_prime=base.b_prime, A=base.A, B=base.B, x_max=base.z,
-            a0=base.a0, z=base.z, w=base.w, x0=base.x0)
+            b_prime=base.b_prime, A=base.A, B=base.B, r=base.r, H=base.H,
+            x_max=base.z, a0=base.a0, z=base.z, w=base.w, x0=base.x0)
         with pytest.raises(sp.DomainError, match="x outside"):
             sp.invert_H(bad, 0.1)
+        assert_matches_reference(bad)
 
     def test_negative_level_rejected(self, models):
         with pytest.raises(sp.DomainError):
@@ -338,10 +349,11 @@ class TestHypotheses:
                 np.asarray(x, dtype=float)),
             a_prime=base.a_prime, b_prime=lambda x: np.zeros_like(
                 np.asarray(x, dtype=float)),
-            A=base.A, B=base.B, x_max=base.x_max, a0=base.a0,
-            z=base.z, w=base.w, x0=base.x0)
+            A=base.A, B=base.B, r=base.r, H=base.H, x_max=base.x_max,
+            a0=base.a0, z=base.z, w=base.w, x0=base.x0)
         with pytest.raises(sp.HypothesisError):
             check_hypotheses(bad)
+        assert_matches_reference(bad)
 
     def test_violation_point_reported(self, models):
         # flip the sign of b' so the isocline slope condition
@@ -351,14 +363,53 @@ class TestHypotheses:
             spec=base.spec, a=base.a, b=base.b, a_prime=base.a_prime,
             b_prime=lambda x: -10.0 / np.square(1.0 - np.asarray(
                 x, dtype=float)),
-            A=base.A, B=base.B, x_max=base.x_max, a0=base.a0,
-            z=base.z, w=base.w, x0=base.x0)
+            A=base.A, B=base.B, r=base.r, H=base.H, x_max=base.x_max,
+            a0=base.a0, z=base.z, w=base.w, x0=base.x0)
         with pytest.raises(sp.HypothesisError, match="a' - b' y") as err:
             check_hypotheses(bad)
+        assert_matches_reference(bad)
         assert err.value.point is not None
         x, y = err.value.point
         assert base.w <= x <= base.z
         assert base.z <= y <= 3.0 * base.w
+
+
+class TestHypothesesMatchReference:
+    """``check_hypotheses`` samples r in closed form and builds its grids
+    without ``np.linspace``; the check it replaced is the oracle."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 50, 200])
+    def test_presets(self, each_model, n):
+        assert_matches_reference(each_model, n)
+
+    @settings(max_examples=80, deadline=None)
+    @given(m=drawn_models())
+    def test_drawn_members(self, m):
+        assert_matches_reference(m)
+
+    def test_tiny_member_domain_error(self):
+        # x_max = 1e-12 puts the whole r sample beyond x_max - DOMAIN_GUARD
+        m = sp.model("scaled", scale=1e12)
+        with pytest.raises(sp.DomainError):
+            check_hypotheses(m)
+        assert_matches_reference(m)
+
+    @settings(max_examples=200, deadline=None)
+    @given(start=st.floats(-1e3, 1e3), stop=st.floats(-1e3, 1e3),
+           num=st.integers(1, 900))
+    def test_grid_is_linspace(self, start, stop, num):
+        got = bounds._linspace(start, stop, num)
+        assert got.tobytes() == np.linspace(start, stop, num).tobytes()
+
+    @pytest.mark.parametrize("start, stop", [
+        (0.0, 5e-324), (1.0, 1.0), (0.0, 0.0), (2.0, 1.0),
+        (0.0, math.inf), (math.nan, 1.0)])
+    @pytest.mark.parametrize("num", [1, 2, 7])
+    def test_grid_edge_cases_are_linspace(self, start, stop, num):
+        with np.errstate(invalid="ignore"):
+            got = bounds._linspace(start, stop, num)
+            want = np.linspace(start, stop, num)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestTwoOrdinateSlopeCheck:
@@ -405,6 +456,7 @@ class TestTwoOrdinateSlopeCheck:
         want = hypothesis_outcome(mesh_slope_check, bad, n)
         assert want is not None
         assert hypothesis_outcome(check_hypotheses, bad, n) == want
+        assert_matches_reference(bad, n)
 
 
 class TestSmallKappa:

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,9 +8,9 @@ from hypothesis import strategies as st
 
 import starphase as sp
 from starphase import rootfind
-from starphase.models import SINGULARITY_GUARD
-
-from conftest import SIGMA
+from starphase.models import r_at_z
+from conftest import SIGMA, drawn_models, drawn_points
+from reference_models import SINGULARITY_GUARD
 
 # closed-form structural constants per family
 CONSTANTS = {
@@ -257,3 +258,81 @@ def test_structural_identity_property(kappa, u):
     lhs = m.z * float(m.b(x)) - float(m.a(x))
     resid = lhs + float(sp.r_factor(m, x)) * (m.z - x)
     assert abs(resid) < 1e-10 * (1.0 + abs(lhs))
+
+
+def same_bits(got, want) -> bool:
+    """Equal shape and equal float64 bytes: NaN payloads and the sign of
+    zero included."""
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestLevelMap:
+    """``m.H`` takes log1p once but must equal z*B(x) - A(x) bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(m=drawn_models(), data=st.data())
+    def test_float_bit_identical(self, m, data):
+        x = data.draw(drawn_points(m))
+        assert same_bits(m.H(x), m.z * m.B(x) - m.A(x))
+
+    @settings(max_examples=100, deadline=None)
+    @given(m=drawn_models(), data=st.data())
+    def test_array_bit_identical(self, m, data):
+        xs = np.array([m.z] + data.draw(st.lists(drawn_points(m),
+                                                 min_size=0, max_size=60)))
+        assert same_bits(m.H(xs), m.z * m.B(xs) - m.A(xs))
+
+    def test_positive_zero_at_z(self, each_model):
+        for x in (each_model.z, np.array([each_model.z])):
+            h = np.asarray(each_model.H(x))
+            assert same_bits(h, np.zeros_like(h))
+
+
+#: members of the accuracy check near z: one far narrower than the
+#: others (z = 5e-4), the stiff star and a soft equation of state
+MP_MEMBERS = {"scaled(1e3)": ("scaled", {"scale": 1e3}),
+              "stiff": ("stiff", {}),
+              "kappa(0.02)": ("kappa", {"kappa": 0.02})}
+
+
+def mp_quotient(m, x):
+    """(z b(x) - a(x)) / (x - z) at 50 digits, from the member's (k, s)
+    with its exact stationary abscissa z, so the removable singularity
+    cancels exactly."""
+    k, s = m.spec.ks
+    with mpmath.workdps(50):
+        k, s, x = mpmath.mpf(k), mpmath.mpf(s), mpmath.mpf(x)
+        beta, gamma = (1 + k) / (2 * k), (1 + k) / 2
+        z = 4 * k / ((k + 1) ** 2 + 4 * k) / s
+        a = (2 - (2 + beta) * s * x) / (1 - s * x)
+        b = gamma * s / (1 - s * x)
+        return (z * b - a) / (x - z)
+
+
+class TestRAccuracyNearZ:
+    """r and dV/dt against the 50-digit quotient at z +- 9e-8 (inside the
+    old absolute SINGULARITY_GUARD band) and z +- 1e-3 x_max (1e-3 on
+    the unit-width members; the narrow member's domain is only 1e-3
+    wide)."""
+
+    @pytest.mark.parametrize("name", list(MP_MEMBERS))
+    @pytest.mark.parametrize("offset", [-9e-8, 9e-8, -1e-3, 1e-3])
+    def test_r_and_derivative(self, name, offset):
+        family, kw = MP_MEMBERS[name]
+        m = sp.model(family, **kw)
+        x = m.z + (offset * m.x_max if abs(offset) == 1e-3 else offset)
+        want = mp_quotient(m, x)
+        for got in (m.r(x), sp.r_factor(m, x)):
+            assert abs(got / want - 1) < 1e-13
+        # y = z leaves only the r term; the squares use the model's z
+        dv = sp.lyapunov_derivative(m, x, m.z)
+        with mpmath.workdps(50):
+            dv_want = -want * (mpmath.mpf(m.z) - mpmath.mpf(x)) ** 2
+        assert abs(dv / dv_want - 1) < 1e-13
+
+    @pytest.mark.parametrize("name", list(MP_MEMBERS))
+    def test_r_at_z_is_the_closed_form_limit(self, models, name):
+        family, kw = MP_MEMBERS[name]
+        for m in (sp.model(family, **kw), *models.values()):
+            assert r_at_z(m) == pytest.approx(m.r(m.z), rel=1e-13)
