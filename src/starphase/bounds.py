@@ -8,7 +8,8 @@ The orbit is trapped below the Lyapunov level through the corner point
 with ``H(x) = z B(x) - A(x)`` monotone on [z, x_max).  E is the "excess"
 of the corner level over the minimum; X is computed both by direct
 monotone inversion of H and, where available, in closed form through the
-principal Lambert W branch.  Both routes agree to well below 1e-9.
+principal Lambert W branch.  ``bound_X`` requires the two routes to
+agree to ``CLOSED_FORM_TOL`` (1e-9) relative.
 
 For the kappa family two closed forms coexist:
 
@@ -39,7 +40,8 @@ from .lyapunov import H
 from .models import (DOMAIN_GUARD, Family, ModelSpec, SystemModel, find_w,
                      find_z, make_model)
 
-#: demanded agreement between the closed form and the H inversion
+#: demanded agreement between the closed form and the H inversion,
+#: relative to X; ``bound_X`` raises above it
 CLOSED_FORM_TOL = 1e-9
 
 
@@ -207,8 +209,10 @@ class BoundReport:
 def bound_X(m: SystemModel) -> BoundReport:
     """Evaluate the bound: hypotheses check, H inversion, closed form.
 
-    ``check_hypotheses`` verifies w, ``find_z`` verifies z; each is
-    solved once.
+    ``check_hypotheses`` verifies w and ``find_z`` verifies z by sign
+    tests; the H inversion is the one root solve.  Raises
+    ``ConvergenceError`` if the absolute ``agreement`` of the two routes
+    exceeds ``CLOSED_FORM_TOL * X_numeric``.
     """
     check_hypotheses(m)
     z = find_z(m)
@@ -216,6 +220,11 @@ def bound_X(m: SystemModel) -> BoundReport:
     X_num = invert_H(m, E)
     X_cl = closed_form_X(m)
     agr = abs(X_num - X_cl)
+    if agr > CLOSED_FORM_TOL * X_num:
+        raise ConvergenceError(
+            f"closed form X = {X_cl!r} and H inversion X = {X_num!r} differ "
+            f"by {agr / X_num:.3g} relative, above CLOSED_FORM_TOL = "
+            f"{CLOSED_FORM_TOL:g}")
     return BoundReport(family=m.family.value, z=z, w=m.w, E=E,
                        X_numeric=X_num, X_closed=X_cl, agreement=agr)
 

@@ -24,7 +24,9 @@ r(x) = (z b(x) - a(x))/(x - z), which is c/(1 - s x) with c = (2 + beta) s
 (1 for ``nonrel``) and so has no singularity at z, and the level map
 H(x) = z B(x) - A(x), evaluated as one expression that takes
 log1p(-s x) once and returns ``z*B(x) - A(x)`` bit for bit.  All
-coefficient callables accept scalars or numpy arrays.
+coefficient callables accept scalars or numpy arrays.  ``find_z``,
+``find_w`` and ``find_x0`` return the closed forms after a sign test of
+their objective on the band v (1 -+ VERIFY_TOL); no root is solved here.
 """
 
 from __future__ import annotations
@@ -37,12 +39,11 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, HypothesisError
-from .rootfind import solve_bracketed
 
 #: evaluation rejects x >= x_max - DOMAIN_GUARD to avoid pole overflow
 DOMAIN_GUARD = 1e-12
 
-#: agreement demanded between closed-form constants and the numeric root
+#: relative half-width of the band where a constant's objective changes sign
 VERIFY_TOL = 1e-9
 
 
@@ -244,23 +245,25 @@ def eval_field(m: SystemModel, x, y):
     return dx, dy
 
 
-def _verified(m: SystemModel, name: str, value: float, g) -> float:
-    """Return the closed-form ``value`` after checking it against the
-    bracketed root of ``g`` on (0, x_max)."""
-    root = solve_bracketed(g, 1e-9 * min(1.0, m.x_max), m.x_max)
-    if abs(root - value) > VERIFY_TOL * max(1.0, abs(value)):
+def _verified(name: str, value: float, g) -> float:
+    """Return the closed-form ``value`` if ``g`` changes sign (a zero
+    counts, a NaN fails) on [value (1 - VERIFY_TOL), value (1 + VERIFY_TOL)].
+    """
+    lo, hi = value * (1.0 - VERIFY_TOL), value * (1.0 + VERIFY_TOL)
+    g_lo, g_hi = g(lo), g(hi)
+    if not (g_lo <= 0.0 <= g_hi or g_hi <= 0.0 <= g_lo):
         raise HypothesisError(
-            f"numeric {name}={root!r} disagrees with closed form {value!r}")
+            f"closed form {name}={value!r}: objective has no sign change on "
+            f"[{lo!r}, {hi!r}] (values {g_lo!r}, {g_hi!r})")
     return value
 
 
 def find_z(m: SystemModel) -> float:
     """Interior stationary abscissa: the positive root of a(z) = z b(z).
 
-    The closed-form family value is verified against a bracketed root
-    search before being returned.
+    The closed form is verified by a sign test of a(x) - x b(x).
     """
-    return _verified(m, "z", m.z, lambda x: float(m.a(x) - x * m.b(x)))
+    return _verified("z", m.z, lambda x: m.a(x) - x * m.b(x))
 
 
 def find_w(m: SystemModel) -> float:
@@ -268,14 +271,13 @@ def find_w(m: SystemModel) -> float:
     i.e. the root of (a0 + 1) w b(w) = a(w).
 
     For b = 0 the condition degenerates to a(w) = 0 and w = z is returned.
-    Verifies the closed form and the ordering (a0 + 1) w > z >= w > 0
-    (equality z = w only in the degenerate family).
+    Verifies the closed form by a sign test and the ordering
+    (a0 + 1) w > z >= w > 0 (equality z = w only in the degenerate family).
     """
     if m.b_is_zero:
         w = m.z
     else:
-        w = _verified(m, "w", m.w, lambda x: float(
-            (m.a0 + 1.0) * x * m.b(x) - m.a(x)))
+        w = _verified("w", m.w, lambda x: (m.a0 + 1.0) * x * m.b(x) - m.a(x))
     if not ((m.a0 + 1.0) * w > m.z >= w - 1e-15 and w > 0.0):
         raise HypothesisError(
             f"ordering (a0+1)w > z >= w > 0 violated: w={w}, z={m.z}",
@@ -284,8 +286,8 @@ def find_w(m: SystemModel) -> float:
 
 
 def find_x0(m: SystemModel) -> float:
-    """Positive zero of a.  Verified against the bracketed root search."""
-    return _verified(m, "x0", m.x0, lambda x: float(m.a(x)))
+    """Positive zero of a.  The closed form is verified by a sign test."""
+    return _verified("x0", m.x0, m.a)
 
 
 def r_factor(m: SystemModel, x):

@@ -1,20 +1,30 @@
-"""Oracles for the closed-form ``r`` and the hypothesis check.
+"""Oracles for the closed-form ``r``, the hypothesis check and the
+verification of z, w and x0.
 
 ``reference_r_factor`` is the guarded quotient that ``models.r_factor``
 was before the model carried r in closed form: it divides z b(x) - a(x)
 by x - z and returns the derivative limit inside the absolute band
 |x - z| < SINGULARITY_GUARD.  ``reference_check_hypotheses`` is
 ``bounds.check_hypotheses`` as it was when it sampled r through that
-quotient and built its grids with ``np.linspace``.  Both are kept
-verbatim apart from their names.
+quotient and built its grids with ``np.linspace``.
+``reference_verified`` is ``models._verified`` as it was before the
+two-point sign test: a bracket walk from 1e-9 x_max and a Brent solve of
+the objective, compared with the closed form.  ``oracle_verification``
+routes ``find_z``, ``find_w`` and ``find_x0`` through it.  The three
+oracles are kept verbatim apart from their names, and the old root solve
+is split out as ``reference_root``.
 """
 
+import contextlib
 import math
 
 import numpy as np
+import pytest
 
+from starphase import models
 from starphase.errors import HypothesisError
-from starphase.models import SystemModel, find_w, r_at_z
+from starphase.models import VERIFY_TOL, SystemModel, find_w, r_at_z
+from starphase.rootfind import solve_bracketed
 
 #: |x - z| below this: the quotient switches to its derivative limit
 SINGULARITY_GUARD = 1e-7
@@ -83,3 +93,34 @@ def reference_check_hypotheses(m: SystemModel, n: int = 200) -> None:
         raise HypothesisError(
             f"a' - b' y < 0 fails at ({xr[i, 0]}, {yr[j]})",
             point=(float(xr[i, 0]), float(yr[j])))
+
+
+def reference_root(m: SystemModel, g) -> float:
+    """Root of ``g``: bracket walk from 1e-9 x_max, then Brent."""
+    return solve_bracketed(g, 1e-9 * min(1.0, m.x_max), m.x_max)
+
+
+def reference_verified(m: SystemModel, name: str, value: float, g) -> float:
+    """Return the closed-form ``value`` after checking it against the
+    bracketed root of ``g`` on (0, x_max)."""
+    root = reference_root(m, g)
+    if abs(root - value) > VERIFY_TOL * max(1.0, abs(value)):
+        raise HypothesisError(
+            f"numeric {name}={root!r} disagrees with closed form {value!r}")
+    return value
+
+
+@contextlib.contextmanager
+def oracle_verification(m: SystemModel):
+    """Within the block, ``find_z``, ``find_w`` and ``find_x0`` of ``m``
+    verify through ``reference_verified``.  Yields a dict that maps each
+    verified name to (closed form, the oracle's root)."""
+    found = {}
+
+    def through_oracle(name, value, g):
+        found[name] = (value, reference_root(m, g))
+        return reference_verified(m, name, value, g)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(models, "_verified", through_oracle)
+        yield found

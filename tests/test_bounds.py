@@ -234,7 +234,8 @@ class TestClosedForms:
         assert rep.agreement <= 1e-9
         assert rep.X_numeric >= rep.z
 
-    def test_each_constant_solved_once(self, each_model, monkeypatch):
+    def test_only_root_solve_is_the_H_inversion(self, each_model,
+                                                monkeypatch):
         solves, w_calls = count_root_solves(monkeypatch), [0]
         find_w = bounds.find_w
 
@@ -245,8 +246,8 @@ class TestClosedForms:
         monkeypatch.setattr(bounds, "find_w", counting_find_w)
         sp.bound_X(each_model)
         assert w_calls[0] == 1
-        # z, invert_H, and w unless b = 0
-        assert solves[0] == (2 if each_model.b_is_zero else 3)
+        # z and w are verified by a sign test; invert_H solves once
+        assert solves[0] == 1
 
     def test_kappa_one_equals_stiff(self, models):
         x_k1 = closed_form_X(models["kappa1"])
@@ -460,14 +461,31 @@ class TestTwoOrdinateSlopeCheck:
 
 
 class TestSmallKappa:
-    """Known small-kappa defect (ROADMAP item 5); the xfail is strict, so
-    the test fails once the defect is mended and the mark must go."""
+    """Known small-kappa defect (ROADMAP item 2); the xfail is strict, so
+    the test fails once the defect is mended and the mark must go.
+    Until then ``bound_X`` refuses the disagreement."""
 
-    @pytest.mark.xfail(strict=True, reason=(
+    @pytest.mark.xfail(strict=True, raises=sp.ConvergenceError, reason=(
         "closed_form_X cancels near the Lambert branch point: -exp(-1 - t) "
-        "loses t = E/Q ~ 7e-16"))
+        "loses t = E/Q ~ 7e-16, so bound_X raises"))
     def test_kappa_1e8_closed_form_agrees(self):
         rep = sp.bound_X(sp.model("kappa", kappa=1e-8))
+        assert rep.agreement <= bounds.CLOSED_FORM_TOL * rep.X_numeric
+
+    @pytest.mark.parametrize("family, kw, gap", [
+        ("kappa", {"kappa": 1e-10}, "0.487"),
+        ("kappa", {"kappa": 1e-6}, "3.42e-06"),
+        ("scaled", {"scale": 1e9}, "7.17e-07")])
+    def test_relative_disagreement_raises(self, family, kw, gap):
+        with pytest.raises(sp.ConvergenceError) as err:
+            sp.bound_X(sp.model(family, **kw))
+        msg = str(err.value)
+        assert "CLOSED_FORM_TOL" in msg and f"by {gap} relative" in msg
+
+    @settings(max_examples=40, deadline=None)
+    @given(m=drawn_models())
+    def test_bench_and_test_ranges_agree(self, m):
+        rep = sp.bound_X(m)
         assert rep.agreement <= bounds.CLOSED_FORM_TOL * rep.X_numeric
 
 

@@ -46,15 +46,15 @@ class TestAnalyze:
         doc = json.loads(out)
         assert doc["equilibrium"]["z"] == pytest.approx(2.0 / 4.25)
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "find_z's bracket starts at 1e-9 x_max, above z once kappa < "
-        "~2.5e-10; exits 4 (ROADMAP item 5)"))
     def test_tiny_kappa(self, capsys):
-        code, out, _ = run(capsys, "analyze", "--model", "kappa",
-                           "--kappa", "1e-10")
-        assert code == 0
-        assert json.loads(out)["equilibrium"]["z"] == sp.model(
-            "kappa", kappa=1e-10).z
+        # z < 1e-9 here: the closed forms pass their relative sign test
+        for kappa in ("1e-10", "1e-12"):
+            code, out, _ = run(capsys, "analyze", "--model", "kappa",
+                               "--kappa", kappa)
+            assert code == 0, kappa
+            eq = json.loads(out)["equilibrium"]
+            m = sp.model("kappa", kappa=float(kappa))
+            assert (eq["z"], eq["w"], eq["x0"]) == (m.z, m.w, m.x0)
 
 
 class TestBound:
@@ -65,6 +65,21 @@ class TestBound:
         assert doc["X_numeric"] == pytest.approx(0.6934159639728907,
                                                  abs=1e-12)
         assert doc["agreement"] <= 1e-9
+
+    @pytest.mark.parametrize("kappa", ["1e-10", "1e-6"])
+    def test_closed_form_disagreement_exit_4(self, capsys, kappa):
+        code, out, err = run(capsys, "bound", "--model", "kappa",
+                             "--kappa", kappa)
+        assert code == 4
+        assert out == ""
+        assert "CLOSED_FORM_TOL" in err
+
+    def test_small_kappa_within_tolerance(self, capsys):
+        code, out, _ = run(capsys, "bound", "--model", "kappa",
+                           "--kappa", "1e-4")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["agreement"] <= 1e-9 * doc["X_numeric"]
 
     def test_kappa_out_of_range_exit_3(self, capsys):
         code, _, err = run(capsys, "bound", "--model", "kappa",

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath
@@ -7,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import starphase as sp
+from starphase import models as models_mod
 from starphase import rootfind
-from starphase.models import r_at_z
-from conftest import SIGMA, drawn_models, drawn_points
-from reference_models import SINGULARITY_GUARD
+from starphase.models import VERIFY_TOL, r_at_z
+from conftest import SIGMA, count_root_solves, drawn_models, drawn_points
+from reference_models import SINGULARITY_GUARD, oracle_verification
 
 # closed-form structural constants per family
 CONSTANTS = {
@@ -215,6 +217,74 @@ class TestRoots:
         m = each_model
         res = float(m.a(m.z)) - m.z * float(m.b(m.z))
         assert abs(res) < 1e-12
+
+
+FINDERS = {"z": sp.find_z, "w": sp.find_w, "x0": sp.find_x0}
+
+
+class TestSignTestVerification:
+    """z, w and x0 are the closed forms, accepted by a sign change of
+    their objective on v (1 -+ VERIFY_TOL); the old bracket walk plus
+    Brent is the oracle (``reference_models.reference_verified``)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=drawn_models())
+    def test_oracle_root_within_the_relative_band(self, m):
+        with oracle_verification(m) as found:
+            eq = sp.equilibrium(m)
+        assert set(found) == ({"z", "x0"} if m.b_is_zero
+                              else {"z", "w", "x0"})
+        for name, (value, root) in found.items():
+            assert abs(root - value) <= VERIFY_TOL * abs(value), name
+        assert (eq.z, eq.w, eq.x0) == (m.z, m.w, m.x0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=drawn_models())
+    def test_accepts_each_closed_form(self, m):
+        eq = sp.equilibrium(m)
+        assert (eq.z, eq.w, eq.x0) == (m.z, m.w, m.x0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=drawn_models(), name=st.sampled_from(list(FINDERS)),
+           sign=st.sampled_from([-1.0, 1.0]))
+    def test_rejects_a_constant_four_band_widths_off(self, m, name, sign):
+        if name == "w" and m.b_is_zero:
+            return   # w = z without a check of its own
+        v = getattr(m, name) * (1.0 + sign * 4.0 * VERIFY_TOL)
+        bad = dataclasses.replace(m, **{name: v})
+        with pytest.raises(sp.HypothesisError,
+                           match=f"closed form {name}={v!r}"):
+            FINDERS[name](bad)
+
+    def test_wrong_z_on_a_hand_built_model(self, models):
+        bad = dataclasses.replace(models["stiff"], z=0.4)
+        with pytest.raises(sp.HypothesisError, match="z=0.4"):
+            sp.equilibrium(bad)
+        with pytest.raises(sp.HypothesisError, match="z=0.4"):
+            sp.bound_X(bad)
+
+    @pytest.mark.parametrize("g", [
+        lambda x: math.nan,
+        lambda x: math.nan if x > 0.5 else 1.0,
+        lambda x: math.nan if x < 0.5 else -1.0])
+    def test_nan_objective_raises(self, g):
+        with pytest.raises(sp.HypothesisError, match="no sign change"):
+            models_mod._verified("z", 0.5, g)
+
+    def test_band_and_its_ends(self):
+        lo, hi = 0.5 * (1.0 - VERIFY_TOL), 0.5 * (1.0 + VERIFY_TOL)
+        # a zero at either end is a sign change
+        assert models_mod._verified("z", 0.5, lambda x: x - lo) == 0.5
+        assert models_mod._verified("z", 0.5, lambda x: hi - x) == 0.5
+        # a root just outside the band is not
+        with pytest.raises(sp.HypothesisError) as err:
+            models_mod._verified("z", 0.5, lambda x: x - 0.5 * (1 + 2e-9))
+        assert f"[{lo!r}, {hi!r}]" in str(err.value)
+
+    def test_equilibrium_makes_no_root_solve(self, each_model, monkeypatch):
+        calls = count_root_solves(monkeypatch)
+        sp.equilibrium(each_model)
+        assert calls[0] == 0
 
 
 class TestRFactor:

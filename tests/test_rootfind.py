@@ -15,6 +15,7 @@ from scipy.optimize import brentq as scipy_brentq
 
 import starphase as sp
 from starphase import rootfind
+from reference_models import oracle_verification
 
 
 def outcome(solver, f, a, b, **kwargs):
@@ -129,8 +130,11 @@ def scipy_checked_solves():
 
 
 def solve_every_objective(m):
-    """Run the z, w and x0 verification solves and three H inversions."""
-    sp.equilibrium(m)
+    """Solve the z, w and x0 objectives through the bracket-walk oracle
+    (the package verifies them by a sign test) and run three H
+    inversions."""
+    with oracle_verification(m):
+        sp.equilibrium(m)
     E = sp.excess_E(m)
     for level in (0.25 * E, E, 1.5 * E):
         try:
