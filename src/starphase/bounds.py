@@ -35,7 +35,7 @@ import numpy as np
 
 from . import rootfind
 from .errors import ConvergenceError, DomainError, HypothesisError
-from .lambertw import lambert_w
+from .lambertw import BRANCH_POINT, lambert_w
 from .lyapunov import H
 from .models import (DOMAIN_GUARD, Family, ModelSpec, SystemModel, find_w,
                      find_z, make_model)
@@ -280,9 +280,13 @@ def kappa_constants(kappa: float) -> KappaConstants:
          - z * math.log((3.0 * k * k + 18.0 * k + 3.0)
                         / (3.0 * k * k + 8.0 * k + 1.0)))
     delta = (5.0 * k + 1.0) * one ** 2 / (8.0 * k * k)
-    C = (3.0 + 1.0 / k) * z + 2.0 * z * math.log(z * (1.0 - z) ** delta)
+    # log z + delta log(1 - z): the power (1 - z)**delta underflows to 0
+    # for kappa below about 6e-4, where delta ~ 1/(8 kappa^2) is huge
+    C = (3.0 + 1.0 / k) * z + 2.0 * z * (math.log(z) + delta * math.log1p(-z))
+    # the argument lies above -1/e (by 8e-24 relative at kappa = 1e-12),
+    # but near kappa = 2e-9 it rounds an ulp below
     X_printed = 1.0 + lambert_w(
-        -alpha * math.exp(-alpha - (E - D) / s)) / alpha
+        max(BRANCH_POINT, -alpha * math.exp(-alpha - (E - D) / s))) / alpha
     return KappaConstants(kappa=k, z=z, w=w, alpha=alpha, D=D, E=E,
                           delta=delta, C=C, s=s, X_printed=X_printed)
 

@@ -113,7 +113,12 @@ def integrate_adaptive(field, t0: float, y0, max_time: float, *,
     d0 = max(abs(x) / sx, abs(y) / sy)
     d1 = max(abs(k0x) / sx, abs(k0y) / sy)
     h = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h = min(h, max_time - t)
+    # the bookkeeping below spells min and max as comparisons, in the
+    # builtins' argument order: min(a, b) is b only if b < a, max(a, b)
+    # is b only if b > a, so a NaN h or err takes the same branch
+    if max_time - t < h:
+        h = max_time - t
+    ax, ay = abs(x), abs(y)
     err_prev = 1.0
     status = FINISHED
     steps = 0
@@ -124,7 +129,8 @@ def integrate_adaptive(field, t0: float, y0, max_time: float, *,
         if steps >= max_steps:
             status = MAX_STEPS
             break
-        h = min(h, max_time - t)
+        if max_time - t < h:
+            h = max_time - t
         if h < h_min_floor:
             status = DOMAIN_EXIT
             break
@@ -160,16 +166,21 @@ def integrate_adaptive(field, t0: float, y0, max_time: float, *,
             rejected += 1
             continue
 
+        # |xn|, |yn| become the next step's |x|, |y|; the sign of a zero
+        # or a NaN is lost in atol + rtol * |.| or in a rejected err
+        axn = xn if xn >= 0.0 else -xn
+        ayn = yn if yn >= 0.0 else -yn
         rx = (h * (_E1 * k0x + _E3 * k2x + _E4 * k3x + _E5 * k4x + _E6 * k5x
-                   + _E7 * k6x) / (atol + rtol * max(abs(x), abs(xn))))
+                   + _E7 * k6x) / (atol + rtol * (axn if axn > ax else ax)))
         ry = (h * (_E1 * k0y + _E3 * k2y + _E4 * k3y + _E5 * k4y + _E6 * k5y
-                   + _E7 * k6y) / (atol + rtol * max(abs(y), abs(yn))))
+                   + _E7 * k6y) / (atol + rtol * (ayn if ayn > ay else ay)))
         sq = rx * rx + ry * ry
         err = math.sqrt(sq / 2)
 
         if err <= 1.0:
             t += h
             x, y = xn, yn
+            ax, ay = axn, ayn
             k0x, k0y = k6x, k6y  # FSAL
             steps += 1
             ts.append(t)
@@ -181,14 +192,19 @@ def integrate_adaptive(field, t0: float, y0, max_time: float, *,
                 status = STOPPED
                 break
             if err == 0.0:
-                factor = _MAX_FACTOR
+                h *= _MAX_FACTOR
             else:
+                # finite, since 0 < err <= 1 and 1e-10 <= err_prev <= 1
                 factor = _SAFETY * err ** (-_KI) * err_prev ** _KP
-            err_prev = max(err, 1e-10)
-            h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
+                h *= (_MIN_FACTOR if factor < _MIN_FACTOR else
+                      _MAX_FACTOR if factor > _MAX_FACTOR else factor)
+            err_prev = 1e-10 if 1e-10 > err else err
         else:
             rejected += 1
-            h *= min(1.0, max(_MIN_FACTOR, _SAFETY * err ** (-1.0 / _ORDER)))
+            # err > 1 or NaN, so the factor is below 0.9 or NaN and the
+            # former cap at 1 never bound
+            factor = _SAFETY * err ** (-1.0 / _ORDER)
+            h *= factor if factor > _MIN_FACTOR else _MIN_FACTOR
 
     return OdeSolution(t=np.array(ts), y=np.column_stack((xs, ys)),
                        f=np.column_stack((fxs, fys)).astype(float, copy=False),
@@ -219,7 +235,7 @@ def hermite_extremum_max(t0: float, t1: float, p0: float, p1: float,
         if disc >= 0.0:
             # stable form: the naive (-b +- sq)/(2a) loses the finite
             # root when a underflows toward zero (near-quadratic data)
-            q = -0.5 * (b + np.copysign(np.sqrt(disc), b))
+            q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
             roots.append(q / a)
             if q != 0.0:
                 roots.append(c / q)

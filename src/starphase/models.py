@@ -19,12 +19,14 @@ X = x_max + (x_max - z) W0(-exp(-1 - E/Q)), Q = (2 + beta)(x_max - z)
 
 Primitives are stored pre-shifted so A(z) = B(z) = 0 at the interior
 stationary point z, which normalises the Lyapunov function to vanish at
-(z, z).  Two derived callables have closed forms: the structural factor
+(z, z).  Three derived callables have closed forms: the structural factor
 r(x) = (z b(x) - a(x))/(x - z), which is c/(1 - s x) with c = (2 + beta) s
-(1 for ``nonrel``) and so has no singularity at z, and the level map
+(1 for ``nonrel``) and so has no singularity at z; the level map
 H(x) = z B(x) - A(x), evaluated as one expression that takes
-log1p(-s x) once and returns ``z*B(x) - A(x)`` bit for bit.  All
-coefficient callables accept scalars or numpy arrays.  ``find_z``,
+log1p(-s x) once and returns ``z*B(x) - A(x)`` bit for bit; and the
+planar field ``field(x, y)``, which takes 1 - s x once and returns
+``(y - x, a(x)*y - b(x)*y*y)`` bit for bit.  All coefficient callables
+accept scalars or numpy arrays.  ``find_z``,
 ``find_w`` and ``find_x0`` return the closed forms after a sign test of
 their objective on the band v (1 -+ VERIFY_TOL); no root is solved here.
 """
@@ -124,6 +126,12 @@ class SystemModel:
         Level map z B(x) - A(x), bit-identical to that expression on
         floats and arrays (the sign of the zero at x = z included).
         ``make_model`` builds both; a hand-built model must supply them.
+    field : callable
+        Planar field ``field(x, y) -> (dx, dy)`` on floats, bit-identical
+        to ``(y - x, a(x)*y - b(x)*y*y)``; ``make_model`` fuses it into
+        one expression (the relativistic branch takes 1 - s x once).
+        When omitted it defaults to that expression built from the
+        model's own ``a`` and ``b``.
     x_max : float
         Right end of the admissible x interval (pole of a, b or +inf).
     a0 : float
@@ -150,6 +158,13 @@ class SystemModel:
     w: float
     x0: float
     b_is_zero: bool = False
+    field: Callable | None = None
+
+    def __post_init__(self):
+        if self.field is None:
+            a, b = self.a, self.b
+            object.__setattr__(self, "field",
+                               lambda x, y: (y - x, a(x) * y - b(x) * y * y))
 
     @property
     def family(self) -> Family:
@@ -191,6 +206,7 @@ def make_model(spec: ModelSpec) -> SystemModel:
         r = lambda x: x * 0.0 + 1.0
         # z B(x) is +0.0 on the domain, so z B(x) - A(x) is 0.0 - A(x)
         H = lambda x: 0.0 - A(x)
+        field = lambda x, y: (y - x, (2.0 - x) * y - (x * 0.0) * y * y)
         x_max = math.inf
         b_is_zero = True
     else:
@@ -220,12 +236,17 @@ def make_model(spec: ModelSpec) -> SystemModel:
             L = np.log1p(-s * x)
             return z * (-gamma * L - B_z) - (P * x + beta * L / s - A_z)
 
+        def field(x, y):
+            # (y - x, a(x)*y - b(x)*y*y) with 1 - s x taken once
+            q = 1.0 - s * x
+            return (y - x, (2.0 - c * x) / q * y - gs / q * y * y)
+
         x_max = 1.0 / s
         b_is_zero = False
 
     return SystemModel(spec=spec, a=a, b=b, a_prime=a_prime, b_prime=b_prime,
                        A=A, B=B, r=r, H=H, x_max=x_max, a0=float(a(0.0)),
-                       z=z, w=w, x0=x0, b_is_zero=b_is_zero)
+                       z=z, w=w, x0=x0, b_is_zero=b_is_zero, field=field)
 
 
 def model(family: Family | str, kappa: float | None = None,

@@ -42,6 +42,29 @@ def drawn_points(draw, m):
                           st.floats(0.0, hi, exclude_max=True)))
 
 
+def orbit_case(family, kappa, e_scale, e_eps, e_rtol):
+    """(model, config) of one draw of the orbit contract: a ``kappa`` or
+    ``scaled`` member with its absolute tolerances shrunk by 1/s along
+    with its lengths and V."""
+    s = 10.0 ** e_scale if family == "scaled" else 1.0
+    m = sp.model(family, kappa=kappa if family == "kappa" else None,
+                 scale=s if family == "scaled" else None)
+    base = sp.IntegratorConfig()
+    cfg = sp.IntegratorConfig(eps_start=m.w / 10.0 * 10.0 ** -e_eps,
+                              rel_tol=10.0 ** e_rtol,
+                              abs_tol=base.abs_tol / s,
+                              converge_radius=base.converge_radius / s,
+                              v_threshold=base.v_threshold / s)
+    return m, cfg
+
+
+#: the parameter draws of the orbit contract, for ``orbit_case``
+ORBIT_DRAWS = dict(family=st.sampled_from(["kappa", "scaled"]),
+                   kappa=st.floats(0.02, 1.0), e_scale=st.floats(-3.0, 3.0),
+                   e_eps=st.floats(0.0, 60.0, exclude_min=True),
+                   e_rtol=st.floats(-12.0, -6.0))
+
+
 @pytest.fixture(scope="session")
 def models():
     out = {name: sp.model(name, **kw) for name, kw in FAMILY_ARGS.items()}

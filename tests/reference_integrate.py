@@ -1,10 +1,15 @@
-"""Oracle for ``starphase.integrate.integrate_adaptive``.
+"""Oracles for ``starphase.integrate.integrate_adaptive`` and the shoot.
 
-The tuple-state Dormand-Prince loop that the planar loop replaced, kept
-verbatim apart from its name: ``field(t, y)`` and ``stop(t, y)`` take
-the time and the state as a tuple of floats.  Same tableau, controller,
-FSAL, ``DomainError`` shrink and statuses, so the planar loop must
-reproduce its arrays and counters bit for bit.
+``reference_integrate`` is the tuple-state Dormand-Prince loop that the
+planar loop replaced, kept verbatim apart from its name: ``field(t, y)``
+and ``stop(t, y)`` take the time and the state as a tuple of floats.
+Same tableau, controller, FSAL, ``DomainError`` shrink and statuses, so
+the planar loop must reproduce its arrays and counters bit for bit.
+
+``reference_shoot`` drives that loop with the heteroclinic shoot's
+closures as they were before the model carried a fused field: the field
+``a(x)*y - b(x)*y*y`` from the coefficient callables and an arrival test
+that evaluates H on every accepted step.
 """
 
 import math
@@ -14,6 +19,7 @@ import numpy as np
 from starphase.errors import DomainError
 from starphase.integrate import (DOMAIN_EXIT, FINISHED, MAX_STEPS, STOPPED,
                                  OdeSolution)
+from starphase.models import DOMAIN_GUARD
 
 # Dormand-Prince 5(4) tableau without its zero entries; the propagated
 # solution is 5th order and the embedded 4th-order difference drives the
@@ -158,3 +164,33 @@ def reference_integrate(field, t0: float, y0, max_time: float, *,
     return OdeSolution(t=np.array(ts), y=np.array(ys),
                        f=np.array(fs, dtype=float), status=status,
                        steps=steps, rejected=rejected, nfev=nfev)
+
+
+def reference_shoot(m, cfg) -> OdeSolution:
+    """The step record of ``shoot_heteroclinic(m, cfg)``, from
+    ``reference_integrate`` and the shoot's former closures."""
+    eps = cfg.eps_start
+    y0 = (eps, (m.a0 + 1.0) * eps)
+    guard = max(DOMAIN_GUARD, 1e-9 * m.x_max if math.isfinite(m.x_max) else 0.0)
+    a, b, H, z = m.a, m.b, m.H, m.z
+
+    x_hi = m.x_max - guard
+
+    def field(t, s):
+        x, y = s
+        if not (0.0 <= x < x_hi) or y < 0.0:
+            raise DomainError("state left the admissible domain")
+        return (y - x, a(x) * y - b(x) * y * y)
+
+    r2 = cfg.converge_radius ** 2
+
+    def arrived(t, s):
+        x, y = s
+        if (x - z) ** 2 + (y - z) ** 2 <= r2:
+            return True
+        return (y > 0.0 and H(x) + y - z - z * math.log(y / z)
+                <= cfg.v_threshold)
+
+    return reference_integrate(field, 0.0, y0, cfg.max_time,
+                               rtol=cfg.rel_tol, atol=cfg.abs_tol,
+                               max_steps=cfg.max_steps, stop=arrived)

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -315,6 +316,24 @@ class TestKappaConstants:
             kc = sp.kappa_constants(float(k))
             m = sp.model("kappa", kappa=float(k))
             assert abs(kc.E - sp.excess_E(m)) < 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(-12.0, 0.0))
+    def test_display_constant_finite_at_small_kappa(self, e):
+        # (1 - z)**delta underflowed to 0 below kappa ~ 6e-4 and the
+        # logarithm of the product raised
+        kc = sp.kappa_constants(10.0 ** e)
+        assert math.isfinite(kc.C) and kc.C < 0.0
+
+    def test_display_constant_matches_high_precision(self):
+        for k in (1e-6, 1e-3, 1.0 / 3.0):
+            K = mpmath.mpf(k)
+            z = 4 * K / (4 * K + (1 + K) ** 2)
+            delta = (5 * K + 1) * (1 + K) ** 2 / (8 * K * K)
+            C = (3 + 1 / K) * z + 2 * z * (mpmath.log(z)
+                                           + delta * mpmath.log1p(-z))
+            assert sp.kappa_constants(k).C == pytest.approx(float(C),
+                                                            rel=1e-10)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):

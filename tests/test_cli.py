@@ -96,6 +96,14 @@ class TestBound:
         assert lines[0] == "kappa,z,w,alpha,D,E,X_closed,X_numeric"
         assert len(lines) == 6
 
+    def test_sweep_below_kappa_6e_4(self, capsys):
+        # the published display constant C underflowed there (exit 3)
+        code, out, _ = run(capsys, "bound", "--model", "kappa",
+                           "--sweep-kappa", "1e-4:1e-3:3")
+        assert code == 0
+        assert [row["kappa"] for row in json.loads(out)["sweep"]] == \
+            [1e-4, 0.00055, 1e-3]
+
     def test_bad_sweep_spec_exit_3(self, capsys):
         code, _, err = run(capsys, "bound", "--model", "kappa",
                            "--sweep-kappa", "nope")

@@ -10,8 +10,8 @@ from starphase import integrate
 from starphase.errors import DomainError
 from starphase.trajectory import IntegratorConfig
 
-from conftest import FAMILY_ARGS
-from reference_integrate import reference_integrate
+from conftest import FAMILY_ARGS, ORBIT_DRAWS, orbit_case
+from reference_integrate import reference_integrate, reference_shoot
 
 
 class TestAccuracy:
@@ -179,6 +179,56 @@ class TestReferenceOracle:
         cfg = IntegratorConfig(eps_start=m.w * 10.0 ** e_eps,
                                rel_tol=10.0 ** e_rtol)
         assert_bit_identical(*shoot_against_reference(m, cfg))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_field_values(self, bad):
+        # a NaN or infinite error estimate rejects the step and shrinks
+        # it by the minimal factor, until the run ends at the step floor
+        def f(x, y):
+            return (1.0, bad if x > 0.5 else -y)
+
+        ref = reference_integrate(lambda t, s: f(*s), 0.0, (0.0, -1.0), 5.0)
+        sol = integrate.integrate_adaptive(f, 0.0, (0.0, -1.0), 5.0)
+        assert sol.status == integrate.DOMAIN_EXIT and sol.rejected > 0
+        assert_bit_identical(ref, sol)
+
+
+
+def shoot_record(m, cfg):
+    """The planar loop's solution inside ``shoot_heteroclinic(m, cfg)``."""
+    planar = integrate.integrate_adaptive
+    sols = []
+
+    def record(*args, **kwargs):
+        sols.append(planar(*args, **kwargs))
+        return sols[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(integrate, "integrate_adaptive", record)
+        sp.shoot_heteroclinic(m, cfg)
+    (sol,) = sols
+    return sol
+
+
+class TestClosureOracle:
+    """The shoot with the model's fused field and the arrival pre-test
+    against the tuple-state loop driven by the closures they replaced:
+    ``a(x)*y - b(x)*y*y`` and an arrival test that always evaluates H.
+    ``TestReferenceOracle`` feeds the same closures to both loops, so
+    only this oracle sees a change in the closures."""
+
+    @pytest.mark.parametrize("name", list(FAMILY_ARGS))
+    def test_presets(self, models, name):
+        cfg = IntegratorConfig()
+        assert_bit_identical(reference_shoot(models[name], cfg),
+                             shoot_record(models[name], cfg))
+
+    @settings(max_examples=100, deadline=None)
+    @given(**ORBIT_DRAWS)
+    def test_orbit_contract_draws(self, family, kappa, e_scale, e_eps,
+                                  e_rtol):
+        m, cfg = orbit_case(family, kappa, e_scale, e_eps, e_rtol)
+        assert_bit_identical(reference_shoot(m, cfg), shoot_record(m, cfg))
 
 
 class TestHermiteMax:

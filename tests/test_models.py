@@ -11,7 +11,8 @@ import starphase as sp
 from starphase import models as models_mod
 from starphase import rootfind
 from starphase.models import VERIFY_TOL, r_at_z
-from conftest import SIGMA, count_root_solves, drawn_models, drawn_points
+from conftest import (SIGMA, count_root_solves, drawn_models, drawn_points,
+                      random_domain_points)
 from reference_models import SINGULARITY_GUARD, oracle_verification
 
 # closed-form structural constants per family
@@ -175,6 +176,51 @@ class TestEvalField:
         dx, dy = sp.eval_field(m, xs, ys)
         assert dx.shape == (2,)
         assert dx[1] == 0.0
+
+
+def unfused_field(m, x, y):
+    """The planar field from the coefficient callables, as the shoot
+    evaluated it before the model carried a fused one."""
+    return (y - x, m.a(x) * y - m.b(x) * y * y)
+
+
+class TestFusedField:
+    """``m.field`` fuses a and b into one expression but must return
+    ``(y - x, a(x)*y - b(x)*y*y)`` bit for bit."""
+
+    def test_bit_identical_on_random_domain_points(self, each_model):
+        m = each_model
+        xs, ys = random_domain_points(m, 200_000, seed=3)
+        for got, want in zip(m.field(xs, ys), unfused_field(m, xs, ys)):
+            assert same_bits(got, want)
+        # the shoot calls it on floats
+        edge = [(0.0, 0.0), (0.0, m.z), (m.z, m.z), (m.z, 0.0)]
+        for x, y in edge + list(zip(xs[:2000].tolist(), ys[:2000].tolist())):
+            got = m.field(x, y)
+            assert type(got[1]) is float
+            assert same_bits(got, unfused_field(m, x, y)), (x, y)
+
+    @settings(max_examples=200, deadline=None)
+    @given(m=drawn_models(), data=st.data(),
+           u=st.floats(0.0, 4.0))
+    def test_bit_identical_on_drawn_members(self, m, data, u):
+        x, y = data.draw(drawn_points(m)), u * m.z
+        assert same_bits(m.field(x, y), unfused_field(m, x, y))
+
+    def test_hand_built_model_derives_the_default(self, models):
+        base = models["kappa"]
+        fields = {f.name: getattr(base, f.name)
+                  for f in dataclasses.fields(base) if f.name != "field"}
+        bare = sp.SystemModel(**fields)
+        assert bare.field is not base.field
+        x, y = 0.3, 0.4
+        assert bare.field(x, y) == unfused_field(base, x, y)
+        # and the shoot on it equals the shoot on the fused field
+        want = sp.shoot_heteroclinic(base)
+        got = sp.shoot_heteroclinic(bare)
+        assert got.steps == want.steps and got.nfev == want.nfev
+        for name in ("t", "x", "y", "V"):
+            assert same_bits(getattr(got, name), getattr(want, name))
 
 
 class TestRoots:

@@ -1,4 +1,6 @@
 import csv
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -9,10 +11,11 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 import starphase as sp
+from starphase import integrate
 from starphase.bounds import closed_form_X
 from starphase.trajectory import IntegratorConfig
 
-from conftest import count_root_solves
+from conftest import FAMILY_ARGS, ORBIT_DRAWS, count_root_solves, orbit_case
 
 # scipy DOP853 oracle values (rtol 1e-11), frozen
 ORACLE_MAX_X = {
@@ -191,6 +194,15 @@ class TestShoot:
         doc = trajectories["stiff"].to_dict()
         assert doc["converged"] is True
         assert len(doc["samples"]) == trajectories["stiff"].t.size
+
+    @pytest.mark.parametrize("name", list(SEED_STEPS))
+    def test_dict_bytes_match_per_element_floats(self, trajectories, name):
+        traj = trajectories[name]
+        want = {**traj._summary(),
+                "samples": [[float(v) for v in row] for row in
+                            zip(traj.t, traj.x, traj.y, traj.V)]}
+        assert (json.dumps(traj.to_dict(), indent=2, sort_keys=True)
+                == json.dumps(want, indent=2, sort_keys=True))
 
 
 def _point_polyline_distance(p, poly):
@@ -419,6 +431,97 @@ class TestConfig:
             IntegratorConfig(**{field: value})
 
 
+def arrival_test(m, cfg):
+    """The stop predicate of ``shoot_heteroclinic(m, cfg)``, taken from a
+    shoot cut after one step."""
+    planar = integrate.integrate_adaptive
+    tests = []
+
+    def grab(field, *args, stop, **kwargs):
+        tests.append(stop)
+        return planar(field, *args, stop=stop, **{**kwargs, "max_steps": 1})
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(integrate, "integrate_adaptive", grab)
+        sp.shoot_heteroclinic(m, cfg)
+    return tests[0]
+
+
+def former_arrival_value(m, x, y):
+    """V(x, y) as the arrival test evaluated it before the pre-test."""
+    return m.H(x) + y - m.z - m.z * math.log(y / m.z)
+
+
+def states_near_z(m, n, seed):
+    """n states (x, y) at relative distances 1e-16 ... 1e-2 from (z, z)."""
+    rng = np.random.default_rng(seed)
+    width = 10.0 ** rng.uniform(-16.0, -2.0, n)
+    xs = m.z * (1.0 + width * rng.uniform(-1.0, 1.0, n))
+    ys = m.z * (1.0 + width * rng.uniform(-1.0, 1.0, n))
+    return list(zip(xs.tolist(), ys.tolist()))
+
+
+#: the four presets and members at the ends of the family: very soft
+#: equations of state (z = 4e-6 and 4e-8; at the latter the margin's
+#: 1e-12 x_max part, not its 1e-9 (y + z) part, covers a negative float
+#: H) and very wide and narrow scaled stars
+PRETEST_MEMBERS = {**{name: (name, kw) for name, kw in FAMILY_ARGS.items()},
+                   "kappa(1e-6)": ("kappa", {"kappa": 1e-6}),
+                   "kappa(1e-8)": ("kappa", {"kappa": 1e-8}),
+                   "scaled(1e-3)": ("scaled", {"scale": 1e-3}),
+                   "scaled(1e6)": ("scaled", {"scale": 1e6})}
+
+
+class TestArrivalPretest:
+    """The arrival test skips H while y - z - z log(y/z) exceeds
+    v_threshold by the margin delta; it must never turn an arrival of the
+    former test into a miss."""
+
+    @pytest.mark.parametrize("name", list(PRETEST_MEMBERS))
+    def test_agrees_with_the_former_test(self, name):
+        family, kw = PRETEST_MEMBERS[name]
+        m = sp.model(family, **kw)
+        arrivals = 0
+        for v in (1e-14, 1e-10, 1e-6):
+            cfg = IntegratorConfig(eps_start=m.w / 100.0, v_threshold=v * m.z,
+                                   converge_radius=1e-300)
+            arrived = arrival_test(m, cfg)
+            for x, y in states_near_z(m, 2000, seed=5):
+                want = former_arrival_value(m, x, y) <= cfg.v_threshold
+                assert bool(arrived(x, y)) == want, (x, y, v)
+                arrivals += want
+        assert arrivals > 100
+
+    @pytest.mark.parametrize("name", list(PRETEST_MEMBERS))
+    def test_arrives_at_the_threshold(self, name):
+        # v_threshold set to the state's own float V: the former test
+        # arrives there with no margin to spare, so must the new one
+        family, kw = PRETEST_MEMBERS[name]
+        m = sp.model(family, **kw)
+        checked = 0
+        for x, y in states_near_z(m, 400, seed=6):
+            V = float(former_arrival_value(m, x, y))
+            if not 0.0 < V < math.inf:
+                continue
+            cfg = IntegratorConfig(eps_start=m.w / 100.0, v_threshold=V,
+                                   converge_radius=1e-300)
+            assert arrival_test(m, cfg)(x, y), (x, y)
+            checked += 1
+        assert checked > 100
+
+    def test_skips_most_level_map_calls(self, models):
+        m = models["stiff"]
+        calls = [0]
+
+        def counting(x):
+            calls[0] += 1
+            return m.H(x)
+
+        traj = sp.shoot_heteroclinic(dataclasses.replace(m, H=counting))
+        assert traj.converged
+        assert calls[0] < 0.2 * traj.steps, (calls[0], traj.steps)
+
+
 class TestParameterSpace:
     """The theory's contract over the whole family, not just the presets:
     the shoot arrives within its budget, stays below the bound X and
@@ -426,20 +529,9 @@ class TestParameterSpace:
     its absolute tolerances are too."""
 
     @settings(max_examples=100, deadline=None)
-    @given(family=st.sampled_from(["kappa", "scaled"]),
-           kappa=st.floats(0.02, 1.0), e_scale=st.floats(-3.0, 3.0),
-           e_eps=st.floats(0.0, 60.0, exclude_min=True),
-           e_rtol=st.floats(-12.0, -6.0))
+    @given(**ORBIT_DRAWS)
     def test_orbit_contract(self, family, kappa, e_scale, e_eps, e_rtol):
-        s = 10.0 ** e_scale if family == "scaled" else 1.0
-        m = sp.model(family, kappa=kappa if family == "kappa" else None,
-                     scale=s if family == "scaled" else None)
-        base = IntegratorConfig()
-        cfg = IntegratorConfig(eps_start=m.w / 10.0 * 10.0 ** -e_eps,
-                               rel_tol=10.0 ** e_rtol,
-                               abs_tol=base.abs_tol / s,
-                               converge_radius=base.converge_radius / s,
-                               v_threshold=base.v_threshold / s)
+        m, cfg = orbit_case(family, kappa, e_scale, e_eps, e_rtol)
         traj = sp.shoot_heteroclinic(m, cfg)
         assert traj.converged, traj.status
         assert traj.max_x <= sp.bound_X(m).X_numeric
