@@ -125,13 +125,12 @@ class SystemModel:
     H : callable
         Level map z B(x) - A(x), bit-identical to that expression on
         floats and arrays (the sign of the zero at x = z included).
-        ``make_model`` builds both; a hand-built model must supply them.
     field : callable
         Planar field ``field(x, y) -> (dx, dy)`` on floats, bit-identical
         to ``(y - x, a(x)*y - b(x)*y*y)``; ``make_model`` fuses it into
         one expression (the relativistic branch takes 1 - s x once).
-        When omitted it defaults to that expression built from the
-        model's own ``a`` and ``b``.
+        ``make_model`` builds r, H and field; a hand-built model must
+        supply them.
     x_max : float
         Right end of the admissible x interval (pole of a, b or +inf).
     a0 : float
@@ -152,19 +151,13 @@ class SystemModel:
     B: Callable
     r: Callable
     H: Callable
+    field: Callable
     x_max: float
     a0: float
     z: float
     w: float
     x0: float
     b_is_zero: bool = False
-    field: Callable | None = None
-
-    def __post_init__(self):
-        if self.field is None:
-            a, b = self.a, self.b
-            object.__setattr__(self, "field",
-                               lambda x, y: (y - x, a(x) * y - b(x) * y * y))
 
     @property
     def family(self) -> Family:
@@ -245,8 +238,9 @@ def make_model(spec: ModelSpec) -> SystemModel:
         b_is_zero = False
 
     return SystemModel(spec=spec, a=a, b=b, a_prime=a_prime, b_prime=b_prime,
-                       A=A, B=B, r=r, H=H, x_max=x_max, a0=float(a(0.0)),
-                       z=z, w=w, x0=x0, b_is_zero=b_is_zero, field=field)
+                       A=A, B=B, r=r, H=H, field=field, x_max=x_max,
+                       a0=float(a(0.0)), z=z, w=w, x0=x0,
+                       b_is_zero=b_is_zero)
 
 
 def model(family: Family | str, kappa: float | None = None,

@@ -93,7 +93,8 @@ def with_slopes(base, a_prime=None, b_prime=None):
     return SystemModel(
         spec=base.spec, a=base.a, b=base.b,
         a_prime=a_prime or base.a_prime, b_prime=b_prime or base.b_prime,
-        A=base.A, B=base.B, r=base.r, H=base.H, x_max=base.x_max,
+        A=base.A, B=base.B, r=base.r, H=base.H,
+        field=base.field, x_max=base.x_max,
         a0=base.a0, z=base.z, w=base.w, x0=base.x0,
         b_is_zero=base.b_is_zero)
 
@@ -187,7 +188,7 @@ class TestInvertH:
         bad = SystemModel(
             spec=base.spec, a=base.a, b=base.b, a_prime=base.a_prime,
             b_prime=base.b_prime, A=base.A, B=base.B, r=base.r, H=base.H,
-            x_max=base.z, a0=base.a0, z=base.z, w=base.w, x0=base.x0)
+            field=base.field, x_max=base.z, a0=base.a0, z=base.z, w=base.w, x0=base.x0)
         with pytest.raises(sp.DomainError, match="x outside"):
             sp.invert_H(bad, 0.1)
         assert_matches_reference(bad)
@@ -369,7 +370,8 @@ class TestHypotheses:
                 np.asarray(x, dtype=float)),
             a_prime=base.a_prime, b_prime=lambda x: np.zeros_like(
                 np.asarray(x, dtype=float)),
-            A=base.A, B=base.B, r=base.r, H=base.H, x_max=base.x_max,
+            A=base.A, B=base.B, r=base.r, H=base.H,
+            field=base.field, x_max=base.x_max,
             a0=base.a0, z=base.z, w=base.w, x0=base.x0)
         with pytest.raises(sp.HypothesisError):
             check_hypotheses(bad)
@@ -383,7 +385,8 @@ class TestHypotheses:
             spec=base.spec, a=base.a, b=base.b, a_prime=base.a_prime,
             b_prime=lambda x: -10.0 / np.square(1.0 - np.asarray(
                 x, dtype=float)),
-            A=base.A, B=base.B, r=base.r, H=base.H, x_max=base.x_max,
+            A=base.A, B=base.B, r=base.r, H=base.H,
+            field=base.field, x_max=base.x_max,
             a0=base.a0, z=base.z, w=base.w, x0=base.x0)
         with pytest.raises(sp.HypothesisError, match="a' - b' y") as err:
             check_hypotheses(bad)

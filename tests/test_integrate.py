@@ -193,23 +193,6 @@ class TestReferenceOracle:
         assert_bit_identical(ref, sol)
 
 
-
-def shoot_record(m, cfg):
-    """The planar loop's solution inside ``shoot_heteroclinic(m, cfg)``."""
-    planar = integrate.integrate_adaptive
-    sols = []
-
-    def record(*args, **kwargs):
-        sols.append(planar(*args, **kwargs))
-        return sols[-1]
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(integrate, "integrate_adaptive", record)
-        sp.shoot_heteroclinic(m, cfg)
-    (sol,) = sols
-    return sol
-
-
 class TestClosureOracle:
     """The shoot with the model's fused field and the arrival pre-test
     against the tuple-state loop driven by the closures they replaced:
@@ -221,14 +204,15 @@ class TestClosureOracle:
     def test_presets(self, models, name):
         cfg = IntegratorConfig()
         assert_bit_identical(reference_shoot(models[name], cfg),
-                             shoot_record(models[name], cfg))
+                             shoot_against_reference(models[name], cfg)[1])
 
     @settings(max_examples=100, deadline=None)
     @given(**ORBIT_DRAWS)
     def test_orbit_contract_draws(self, family, kappa, e_scale, e_eps,
                                   e_rtol):
         m, cfg = orbit_case(family, kappa, e_scale, e_eps, e_rtol)
-        assert_bit_identical(reference_shoot(m, cfg), shoot_record(m, cfg))
+        assert_bit_identical(reference_shoot(m, cfg),
+                             shoot_against_reference(m, cfg)[1])
 
 
 class TestHermiteMax:

@@ -207,21 +207,6 @@ class TestFusedField:
         x, y = data.draw(drawn_points(m)), u * m.z
         assert same_bits(m.field(x, y), unfused_field(m, x, y))
 
-    def test_hand_built_model_derives_the_default(self, models):
-        base = models["kappa"]
-        fields = {f.name: getattr(base, f.name)
-                  for f in dataclasses.fields(base) if f.name != "field"}
-        bare = sp.SystemModel(**fields)
-        assert bare.field is not base.field
-        x, y = 0.3, 0.4
-        assert bare.field(x, y) == unfused_field(base, x, y)
-        # and the shoot on it equals the shoot on the fused field
-        want = sp.shoot_heteroclinic(base)
-        got = sp.shoot_heteroclinic(bare)
-        assert got.steps == want.steps and got.nfev == want.nfev
-        for name in ("t", "x", "y", "V"):
-            assert same_bits(getattr(got, name), getattr(want, name))
-
 
 class TestRoots:
     @pytest.mark.parametrize("name", list(CONSTANTS))
