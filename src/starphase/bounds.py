@@ -27,22 +27,30 @@ inversion is authoritative.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import rootfind
-from .errors import ConvergenceError, DomainError, HypothesisError
+from .errors import (ConvergenceError, DomainError, HypothesisError,
+                     StarphaseError)
 from .lambertw import BRANCH_POINT, lambert_w
 from .lyapunov import H
-from .models import (DOMAIN_GUARD, Family, ModelSpec, SystemModel, find_w,
-                     find_z, make_model)
+from .models import (DOMAIN_GUARD, VERIFY_TOL, Family, ModelSpec, SystemModel,
+                     find_w, find_z, make_model, relativistic, w_objective)
 
 #: demanded agreement between the closed form and the H inversion,
 #: relative to X; ``bound_X`` raises above it
 CLOSED_FORM_TOL = 1e-9
+
+#: rows per batched hypothesis check in ``kappa_sweep``: at the default
+#: n = 200 its largest arrays, b and r on the 4n grid, hold 8 x 800
+#: floats (51 KB)
+SWEEP_CHUNK = 8
+
+#: columns of a ``kappa_sweep`` row, in CSV order
+SWEEP_FIELDS = ("kappa", "z", "w", "alpha", "D", "E", "X_closed", "X_numeric")
 
 
 def excess_E(m: SystemModel) -> float:
@@ -130,6 +138,29 @@ def _linspace(start: float, stop: float, num: int) -> np.ndarray:
     return y
 
 
+def _row_linspace(start, stop, num: int) -> np.ndarray:
+    """``_linspace`` for column arrays (R, 1) of ends: row i of the
+    (R, num) result equals ``_linspace(start[i, 0], stop[i, 0], num)``
+    bit for bit, the rows whose step underflows to zero included.  Float
+    ends give the one row of ``_linspace``."""
+    div, delta = num - 1, stop - start
+    if np.ndim(delta) == 0:
+        return _linspace(start, stop, num)
+    y = np.arange(num, dtype=float)
+    if div > 0:
+        step = delta / div
+        tiny = step == 0.0
+        y = y * step
+        if tiny.any():
+            y = np.where(tiny, np.arange(num, dtype=float) / div * delta, y)
+    else:
+        y = y * delta
+    y = y + start
+    if div > 0:
+        y[..., -1:] = stop
+    return y
+
+
 def check_hypotheses(m: SystemModel, n: int = 200) -> None:
     """Sampled verification of the four structural hypotheses behind the
     bound: sign conditions on b, a(0) and r, the w crossing identity with
@@ -137,6 +168,11 @@ def check_hypotheses(m: SystemModel, n: int = 200) -> None:
     slope condition on the rectangle [w, z] x [z, (a0+1) w].
 
     Raises HypothesisError naming the failing condition and a witness.
+
+    ``kappa_sweep`` evaluates the same samples for SWEEP_CHUNK (8)
+    members at once (``_hypotheses_hold``): the same elementwise IEEE
+    operations on the same values, so its verdict is this check's, bit
+    for bit; only a member it fails comes back here for the message.
     """
     if m.a0 <= 0.0:
         raise HypothesisError(f"a(0) = {m.a0} is not positive")
@@ -157,28 +193,76 @@ def check_hypotheses(m: SystemModel, n: int = 200) -> None:
         raise HypothesisError(f"r < 0 at x = {xs[i]}", point=(float(xs[i]),))
 
     xs_w = _linspace(w / n, w, n)
-    lhs = (m.a0 + 1.0) * w * np.asarray(m.b(xs_w), dtype=float)
-    rhs = np.asarray(m.a(xs_w), dtype=float) - m.a0
-    gap = rhs - lhs
+    gap = _tangent_gap(m, w, xs_w)
     if (gap > 1e-12).any():
         i = int(np.argmax(gap))
         raise HypothesisError(
             f"(a0+1) w b(x) >= a(x) - a(0) fails at x = {xs_w[i]}",
             point=(float(xs_w[i]),))
 
-    # a' and b' depend on x only, and the rounded a' - b' y is monotone
-    # in y: on each abscissa its maximum over y in [z, (a0+1) w] is at one
-    # of the two ends, bit for bit, so testing those two ordinates decides
-    # the condition as any mesh of ordinates would
     xr = _linspace(w, m.z, n)[:, None]
     yr = np.array([m.z, (m.a0 + 1.0) * w])
-    slope_cond = np.asarray(m.a_prime(xr), dtype=float) \
-        - np.asarray(m.b_prime(xr), dtype=float) * yr
+    slope_cond = _slope_condition(m, xr, yr)
     if (slope_cond >= 0.0).any():
         i, j = np.unravel_index(int(np.argmax(slope_cond)), slope_cond.shape)
         raise HypothesisError(
             f"a' - b' y < 0 fails at ({xr[i, 0]}, {yr[j]})",
             point=(float(xr[i, 0]), float(yr[j])))
+
+
+def _tangent_gap(m, w, x):
+    """a(x) - a(0) - (a0 + 1) w b(x); the tangent-line condition of
+    ``check_hypotheses`` fails where it exceeds 1e-12."""
+    lhs = (m.a0 + 1.0) * w * np.asarray(m.b(x), dtype=float)
+    rhs = np.asarray(m.a(x), dtype=float) - m.a0
+    return rhs - lhs
+
+
+def _slope_condition(m, x, y):
+    """a'(x) - b'(x) y, broadcast over the shapes of ``x`` and ``y``; the
+    isocline slope condition of ``check_hypotheses`` needs it below 0.
+
+    a' and b' depend on x only, and the rounded a' - b' y is monotone
+    in y: on each abscissa its maximum over y in [z, (a0+1) w] is at one
+    of the two ends, bit for bit, so testing those two ordinates decides
+    the condition as any mesh of ordinates would."""
+    return np.asarray(m.a_prime(x), dtype=float) \
+        - np.asarray(m.b_prime(x), dtype=float) * y
+
+
+def _hypotheses_hold(p, n: int = 200) -> np.ndarray:
+    """Verdicts of ``check_hypotheses(m, n)`` for a stack of R members:
+    element i is True exactly when the check passes for member i.
+
+    ``p`` holds a0, z, w and x_max as columns (R, 1), x_max finite (it
+    may be one float for all rows), and a, b, r, a' and b' as callables
+    that map samples of shape (n,) or (R, n) to (R, n), as
+    ``models.relativistic`` builds them for a column of kappa.  Each
+    check takes the same elementwise operations on the same samples as
+    the scalar one (``_row_linspace`` builds each row of a grid bit for
+    bit), so only the reductions differ.  The caller re-runs
+    ``check_hypotheses`` on a failing member for its error and witness.
+    """
+    a0, z, w = p.a0, p.z, p.w
+    top = (a0 + 1.0) * w
+    # find_w: its objective changes sign on the VERIFY_TOL band (min <= 0
+    # <= max is the same test, NaN failing it), and w is ordered
+    g = w_objective(p, w * np.array([1.0 - VERIFY_TOL, 1.0 + VERIFY_TOL]))
+    ok = ((a0 > 0.0) & (g.min(axis=-1, keepdims=True) <= 0.0)
+          & (g.max(axis=-1, keepdims=True) >= 0.0)
+          & (top > z) & (z >= w - 1e-15) & (w > 0.0))
+
+    # b and r signs, and the domain check of the r sample
+    xs = _row_linspace(0.0, 0.95 * p.x_max, 4 * n)
+    bad = ((p.b(xs) < 0.0) | (xs < 0.0) | (xs >= p.x_max - DOMAIN_GUARD)
+           | (p.r(xs) < -1e-12))
+    ok &= ~bad.any(axis=-1, keepdims=True)
+    gap = _tangent_gap(p, w, _row_linspace(w / n, w, n))
+    ok &= ~(gap > 1e-12).any(axis=-1, keepdims=True)
+    # ordinates first, so each array operation runs along a whole row
+    yr = np.stack([z, top])
+    slope_cond = _slope_condition(p, _row_linspace(w, z, n), yr)
+    return ok[:, 0] & ~(slope_cond >= 0.0).any(axis=(0, 2))
 
 
 @dataclass(frozen=True)
@@ -215,6 +299,11 @@ def bound_X(m: SystemModel) -> BoundReport:
     exceeds ``CLOSED_FORM_TOL * X_numeric``.
     """
     check_hypotheses(m)
+    return _bound_report(m)
+
+
+def _bound_report(m: SystemModel) -> BoundReport:
+    """``bound_X`` of a model whose hypotheses are checked."""
     z = find_z(m)
     E = excess_E(m)
     X_num = invert_H(m, E)
@@ -297,25 +386,56 @@ def kappa_sweep(kappas) -> list[dict]:
     Each row carries the published constants alongside both bound
     routes; ``X_closed`` is the primitive-consistent closed form (equal
     to ``X_numeric`` to round-off).
+
+    The hypotheses are checked SWEEP_CHUNK rows at a time: one array
+    evaluation of ``check_hypotheses``'s samples for the stacked members
+    (``_hypotheses_hold``), exact because it takes the same IEEE
+    operations on the same values.  A member it fails is checked again
+    by ``check_hypotheses``, in row order, for the error and witness.
+    The bound itself is computed row by row, as ``bound_X`` does it.
+
+    Raises
+    ------
+    ValueError, StarphaseError
+        From the first failing row, as ``bound_X`` or
+        ``kappa_constants`` raises it, the message prefixed with
+        ``kappa = <repr> (row i of N): ``.
     """
+    ks = [float(k) for k in kappas]
     rows = []
-    for k in kappas:
-        m = make_model(ModelSpec(Family.KAPPA_FAMILY, kappa=float(k)))
-        rep = bound_X(m)
-        kc = kappa_constants(float(k))
-        rows.append({
-            "kappa": float(k), "z": rep.z, "w": rep.w,
-            "alpha": kc.alpha, "D": kc.D, "E": rep.E,
-            "X_closed": rep.X_closed, "X_numeric": rep.X_numeric,
-        })
+    for start in range(0, len(ks), SWEEP_CHUNK):
+        chunk = ks[start:start + SWEEP_CHUNK]
+        # a kappa outside (0, 1] is refused by ModelSpec in its turn
+        with np.errstate(all="ignore"):
+            holds = _hypotheses_hold(
+                relativistic(np.array(chunk)[:, None], 1.0)).tolist()
+        for i, (k, ok) in enumerate(zip(chunk, holds), start + 1):
+            try:
+                m = make_model(ModelSpec(Family.KAPPA_FAMILY, kappa=k))
+                if not ok:
+                    check_hypotheses(m)
+                rep = _bound_report(m)
+                kc = kappa_constants(k)
+            except (StarphaseError, ValueError) as exc:
+                exc.args = (f"kappa = {k!r} (row {i} of {len(ks)}): {exc}",)
+                raise
+            rows.append({
+                "kappa": k, "z": rep.z, "w": rep.w,
+                "alpha": kc.alpha, "D": kc.D, "E": rep.E,
+                "X_closed": rep.X_closed, "X_numeric": rep.X_numeric,
+            })
     return rows
 
 
 def sweep_to_csv(rows: list[dict], path) -> None:
-    """CSV with header kappa,z,w,alpha,D,E,X_closed,X_numeric."""
-    fields = ["kappa", "z", "w", "alpha", "D", "E", "X_closed", "X_numeric"]
+    """CSV with header kappa,z,w,alpha,D,E,X_closed,X_numeric.
+
+    Floats are written as ``repr``, in one write.  The bytes equal those
+    of ``csv.writer`` with its default dialect: CRLF line ends, and no
+    field here needs quoting.
+    """
+    lines = [",".join(SWEEP_FIELDS)]
+    lines += [",".join([repr(float(row[f])) for f in SWEEP_FIELDS])
+              for row in rows]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(fields)
-        for row in rows:
-            writer.writerow([repr(float(row[f])) for f in fields])
+        fh.write("\r\n".join(lines) + "\r\n")

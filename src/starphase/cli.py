@@ -28,6 +28,9 @@ EXIT_OK = 0
 EXIT_HYPOTHESIS = 3
 EXIT_NONCONVERGED = 4
 
+#: most rows a ``bound --sweep-kappa`` spec may ask for
+MAX_SWEEP_ROWS = 100_000
+
 
 def _model_from(args) -> SystemModel:
     fam = Family(args.model)
@@ -143,18 +146,32 @@ def _cmd_trajectory(args) -> int:
     return EXIT_OK
 
 
+def _sweep_kappas(spec: str) -> list[float]:
+    """The N kappa values of an A:B:N sweep spec, from A to B.
+
+    Raises DomainError for a malformed spec, N < 2, N above
+    MAX_SWEEP_ROWS, or an end outside (0, 1] (NaN and inf included).
+    """
+    try:
+        a, b, n = spec.split(":")
+        lo, hi, n = float(a), float(b), int(n)
+        if n < 2:
+            raise ValueError
+    except ValueError:
+        raise DomainError(f"bad sweep spec {spec!r}; "
+                          "expected A:B:N with N >= 2") from None
+    if not (0.0 < lo <= 1.0 and 0.0 < hi <= 1.0):
+        raise DomainError(f"bad sweep spec {spec!r}: A and B must lie in "
+                          "(0, 1]")
+    if n > MAX_SWEEP_ROWS:
+        raise DomainError(f"bad sweep spec {spec!r}: N = {n} is above "
+                          f"MAX_SWEEP_ROWS = {MAX_SWEEP_ROWS}")
+    return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+
+
 def _cmd_bound(args) -> int:
     if args.sweep_kappa:
-        try:
-            a, b, n = args.sweep_kappa.split(":")
-            lo, hi, n = float(a), float(b), int(n)
-            if n < 2:
-                raise ValueError
-        except ValueError:
-            raise DomainError(f"bad sweep spec {args.sweep_kappa!r}; "
-                              "expected A:B:N with N >= 2")
-        ks = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
-        rows = kappa_sweep(ks)
+        rows = kappa_sweep(_sweep_kappas(args.sweep_kappa))
         if args.out:
             sweep_to_csv(rows, args.out)
         else:

@@ -26,13 +26,18 @@ H(x) = z B(x) - A(x), evaluated as one expression that takes
 log1p(-s x) once and returns ``z*B(x) - A(x)`` bit for bit; and the
 planar field ``field(x, y)``, which takes 1 - s x once and returns
 ``(y - x, a(x)*y - b(x)*y*y)`` bit for bit.  All coefficient callables
-accept scalars or numpy arrays.  ``find_z``,
-``find_w`` and ``find_x0`` return the closed forms after a sign test of
-their objective on the band v (1 -+ VERIFY_TOL); no root is solved here.
+accept scalars or numpy arrays.  ``relativistic(k, s)`` writes the
+relativistic constants and a, b, a', b', r once, for one member or for
+a column of members (the batched sweep of ``starphase.bounds``).
+``find_z``, ``find_w`` and ``find_x0`` return the closed forms after a
+sign test of their objective on the band v (1 -+ VERIFY_TOL); no root is
+solved here.
 """
 
 from __future__ import annotations
 
+import collections
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -179,6 +184,50 @@ class SystemModel:
                               ("positive" if y_positive else "nonnegative"))
 
 
+def _float_square(v):
+    """``v ** 2`` as Python floats compute it (C ``pow``), elementwise for
+    an array: numpy squares an array by ``v * v``, which rounds otherwise
+    in about 1 in 1100 arguments in [1, 2]."""
+    if isinstance(v, float):
+        return v ** 2
+    return np.array([t ** 2 for t in v.ravel().tolist()]).reshape(v.shape)
+
+
+#: constants and coefficient callables of a relativistic member; see
+#: ``relativistic``
+Relativistic = collections.namedtuple(
+    "Relativistic", "beta gamma P c gs x_max z w x0 a0 a b a_prime b_prime r")
+
+
+def relativistic(k, s) -> Relativistic:
+    """The member (k, s) of a(x) = 2 - beta s x/(1 - s x),
+    b(x) = gamma s/(1 - s x): its constants, and a, b, a', b' and the
+    closed-form r = c/(1 - s x).
+
+    k and s are floats, or arrays that broadcast: a column (R, 1) of k
+    stacks R members, whose callables map samples of shape (n,) or (R, n)
+    to (R, n).  Every value is the same IEEE expression on floats and on
+    arrays, so row i of an array result equals the float result of
+    member i bit for bit.  ``make_model`` builds its closures here, and
+    ``bounds.kappa_sweep`` its batched hypothesis check.
+    """
+    beta = (1.0 + k) / (2.0 * k)
+    gamma = (1.0 + k) / 2.0
+    P = 2.0 + beta
+    c, gs = P * s, gamma * s
+    a = lambda x: (2.0 - c * x) / (1.0 - s * x)
+    b = lambda x: gs / (1.0 - s * x)
+    a_prime = lambda x: -beta * s / np.square(1.0 - s * x)
+    b_prime = lambda x: gs * s / np.square(1.0 - s * x)
+    # z b - a = c (x - z)/(1 - s x), since a(z) = z b(z)
+    r = lambda x: c / (1.0 - s * x)
+    z = 4.0 * k / (_float_square(k + 1.0) + 4.0 * k) / s
+    w = 4.0 * k / (3.0 * k * k + 8.0 * k + 1.0) / s
+    x0 = 4.0 * k / (1.0 + 5.0 * k) / s
+    return Relativistic(beta, gamma, P, c, gs, 1.0 / s, z, w, x0, a(0.0),
+                        a, b, a_prime, b_prime, r)
+
+
 def make_model(spec: ModelSpec) -> SystemModel:
     """Construct the requested family member.
 
@@ -204,25 +253,17 @@ def make_model(spec: ModelSpec) -> SystemModel:
         b_is_zero = True
     else:
         k, s = spec.ks
-        beta = (1.0 + k) / (2.0 * k)
-        gamma = (1.0 + k) / 2.0
-        P = 2.0 + beta
-        c, gs = P * s, gamma * s
-        z = 4.0 * k / ((k + 1.0) ** 2 + 4.0 * k) / s
-        w = 4.0 * k / (3.0 * k * k + 8.0 * k + 1.0) / s
-        x0 = 4.0 * k / (1.0 + 5.0 * k) / s
-        a = lambda x: (2.0 - c * x) / (1.0 - s * x)
-        b = lambda x: gs / (1.0 - s * x)
-        a_prime = lambda x: -beta * s / np.square(1.0 - s * x)
-        b_prime = lambda x: gs * s / np.square(1.0 - s * x)
+        rel = relativistic(k, s)
+        beta, gamma, P, c, gs = rel.beta, rel.gamma, rel.P, rel.c, rel.gs
+        z, w, x0, x_max = rel.z, rel.w, rel.x0, rel.x_max
+        a, b, r = rel.a, rel.b, rel.r
+        a_prime, b_prime = rel.a_prime, rel.b_prime
         # the primitives are shifted by their own float value at z, so
         # A(z) = B(z) = 0 exactly
         L_z = np.log1p(-s * z)
         A_z, B_z = float(P * z + beta * L_z / s), float(-gamma * L_z)
         A = lambda x: P * x + beta * np.log1p(-s * x) / s - A_z
         B = lambda x: -gamma * np.log1p(-s * x) - B_z
-        # z b - a = c (x - z)/(1 - s x), since a(z) = z b(z)
-        r = lambda x: c / (1.0 - s * x)
 
         def H(x):
             # z * B(x) - A(x) with the logarithm taken once
@@ -234,7 +275,6 @@ def make_model(spec: ModelSpec) -> SystemModel:
             q = 1.0 - s * x
             return (y - x, (2.0 - c * x) / q * y - gs / q * y * y)
 
-        x_max = 1.0 / s
         b_is_zero = False
 
     return SystemModel(spec=spec, a=a, b=b, a_prime=a_prime, b_prime=b_prime,
@@ -281,6 +321,12 @@ def find_z(m: SystemModel) -> float:
     return _verified("z", m.z, lambda x: m.a(x) - x * m.b(x))
 
 
+def w_objective(m, x):
+    """(a0 + 1) x b(x) - a(x), which vanishes at x = w; ``m`` is a model
+    or a ``Relativistic`` stack."""
+    return (m.a0 + 1.0) * x * m.b(x) - m.a(x)
+
+
 def find_w(m: SystemModel) -> float:
     """Abscissa where the unstable tangent line meets the y' = 0 isocline,
     i.e. the root of (a0 + 1) w b(w) = a(w).
@@ -292,7 +338,7 @@ def find_w(m: SystemModel) -> float:
     if m.b_is_zero:
         w = m.z
     else:
-        w = _verified("w", m.w, lambda x: (m.a0 + 1.0) * x * m.b(x) - m.a(x))
+        w = _verified("w", m.w, functools.partial(w_objective, m))
     if not ((m.a0 + 1.0) * w > m.z >= w - 1e-15 and w > 0.0):
         raise HypothesisError(
             f"ordering (a0+1)w > z >= w > 0 violated: w={w}, z={m.z}",

@@ -12,7 +12,9 @@ two-point sign test: a bracket walk from 1e-9 x_max and a Brent solve of
 the objective, compared with the closed form.  ``oracle_verification``
 routes ``find_z``, ``find_w`` and ``find_x0`` through it.  The three
 oracles are kept verbatim apart from their names, and the old root solve
-is split out as ``reference_root``.
+is split out as ``reference_root``.  ``reference_kappa_sweep`` is
+``bounds.kappa_sweep`` as it was before it checked the hypotheses of its
+rows in batches: one ``bound_X`` per row.
 """
 
 import contextlib
@@ -22,8 +24,10 @@ import numpy as np
 import pytest
 
 from starphase import models
+from starphase.bounds import bound_X, kappa_constants
 from starphase.errors import HypothesisError
-from starphase.models import VERIFY_TOL, SystemModel, find_w, r_at_z
+from starphase.models import (VERIFY_TOL, Family, ModelSpec, SystemModel,
+                              find_w, make_model, r_at_z)
 from starphase.rootfind import solve_bracketed
 
 #: |x - z| below this: the quotient switches to its derivative limit
@@ -124,3 +128,23 @@ def oracle_verification(m: SystemModel):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(models, "_verified", through_oracle)
         yield found
+
+
+def reference_kappa_sweep(kappas) -> list[dict]:
+    """Bound evaluation over a kappa grid.
+
+    Each row carries the published constants alongside both bound
+    routes; ``X_closed`` is the primitive-consistent closed form (equal
+    to ``X_numeric`` to round-off).
+    """
+    rows = []
+    for k in kappas:
+        m = make_model(ModelSpec(Family.KAPPA_FAMILY, kappa=float(k)))
+        rep = bound_X(m)
+        kc = kappa_constants(float(k))
+        rows.append({
+            "kappa": float(k), "z": rep.z, "w": rep.w,
+            "alpha": kc.alpha, "D": kc.D, "E": rep.E,
+            "X_closed": rep.X_closed, "X_numeric": rep.X_numeric,
+        })
+    return rows

@@ -1,4 +1,7 @@
+import csv
+import dataclasses
 import math
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -14,7 +17,8 @@ from starphase.bounds import (STIFF_LAMBERT_ARG, check_hypotheses,
 from starphase.models import DOMAIN_GUARD, SystemModel
 
 from conftest import count_root_solves, drawn_models
-from reference_models import reference_check_hypotheses
+from reference_models import (reference_check_hypotheses,
+                              reference_kappa_sweep)
 
 LOG2 = math.log(2.0)
 LOG3 = math.log(3.0)
@@ -85,6 +89,123 @@ def assert_matches_reference(m, n=200):
     error type and message, and on the witness point."""
     assert (hypothesis_outcome(check_hypotheses, m, n)
             == hypothesis_outcome(reference_check_hypotheses, m, n))
+
+
+def slope_cases(base):
+    """Name -> the a' and/or b' of a hand-built stiff model whose isocline
+    slope condition fails."""
+    y_mid = 0.5 * (base.z + (base.a0 + 1.0) * base.w)
+    x_mid = 0.5 * (base.w + base.z)
+
+    def arr(x):
+        return np.asarray(x, dtype=float)
+
+    return {
+        # a' - b' y rises with y: fails at the top ordinate
+        "b_prime_flipped": dict(
+            b_prime=lambda x: -10.0 / np.square(1.0 - arr(x))),
+        # falls with y: fails at the bottom ordinate
+        "a_prime_positive": dict(a_prime=lambda x: 10.0 + 0.0 * arr(x)),
+        # changes sign inside the y range
+        "fails_below_mid_y": dict(
+            a_prime=lambda x: base.b_prime(arr(x)) * y_mid),
+        # fails only at abscissae right of the middle
+        "fails_right_of_mid_x": dict(a_prime=lambda x: np.where(
+            arr(x) > x_mid, 1e3, base.a_prime(arr(x)))),
+        # nan never compares >= 0; argmax picks the first nan
+        "nan_rows": dict(a_prime=lambda x: np.where(
+            arr(x) > x_mid, np.nan, 10.0)),
+        # a' - b' y = 0 everywhere: every node ties
+        "all_ties": dict(a_prime=lambda x: 0.0 * arr(x),
+                         b_prime=lambda x: 0.0 * arr(x)),
+    }
+
+
+def negative_b_model(base):
+    """``base`` with b = -1 and b' = 0: the b sign check fails."""
+    return SystemModel(
+        spec=base.spec, a=base.a, b=lambda x: -np.ones_like(
+            np.asarray(x, dtype=float)),
+        a_prime=base.a_prime, b_prime=lambda x: np.zeros_like(
+            np.asarray(x, dtype=float)),
+        A=base.A, B=base.B, r=base.r, H=base.H,
+        field=base.field, x_max=base.x_max,
+        a0=base.a0, z=base.z, w=base.w, x0=base.x0)
+
+
+def x_max_at_z_model(base):
+    """``base`` with its domain cut at z."""
+    return SystemModel(
+        spec=base.spec, a=base.a, b=base.b, a_prime=base.a_prime,
+        b_prime=base.b_prime, A=base.A, B=base.B, r=base.r, H=base.H,
+        field=base.field, x_max=base.z, a0=base.a0, z=base.z, w=base.w,
+        x0=base.x0)
+
+
+def hand_built_models(base):
+    """Name -> every hand-built model of this module, built on ``base``."""
+    out = {name: with_slopes(base, **kw)
+           for name, kw in slope_cases(base).items()}
+    out["negative_b"] = negative_b_model(base)
+    out["x_max_at_z"] = x_max_at_z_model(base)
+    # the w objective is nan at the upper end of the sign-test band
+    out["b_nan_right_of_w"] = dataclasses.replace(base, b=lambda x: np.where(
+        np.asarray(x, dtype=float) > base.w, np.nan, base.b(x)))
+    # w is off its objective's root on either side, or above z
+    out["w_too_low"] = dataclasses.replace(base, w=0.99 * base.w)
+    out["w_too_high"] = dataclasses.replace(base, w=1.01 * base.w)
+    out["z_below_w"] = dataclasses.replace(base, z=0.9 * base.w)
+    out["a0_zero"] = dataclasses.replace(base, a0=0.0)
+    return out
+
+
+def stacked(members):
+    """``members`` as one stack for ``bounds._hypotheses_hold``: columns
+    of a0, z, w and x_max, and callables that evaluate member i on row i
+    of their samples."""
+    def column(name):
+        return np.array([[getattr(m, name)] for m in members], dtype=float)
+
+    def rowwise(name):
+        def f(x):
+            x = np.broadcast_to(x, (len(members), np.shape(x)[-1]))
+            return np.stack([
+                np.broadcast_to(np.asarray(getattr(m, name)(row),
+                                           dtype=float), row.shape)
+                for m, row in zip(members, x)])
+        return f
+
+    return SimpleNamespace(
+        **{name: column(name) for name in ("a0", "z", "w", "x_max")},
+        **{name: rowwise(name)
+           for name in ("a", "b", "r", "a_prime", "b_prime")})
+
+
+def hex_rows(rows):
+    """Every value of every sweep row as ``float.hex``."""
+    return [{key: float.hex(v) for key, v in row.items()} for row in rows]
+
+
+def oracle_sweep_outcome(ks):
+    """The rows of ``reference_kappa_sweep(ks)`` as ``hex_rows``, or the
+    type, message and witness of its first failing row, the message
+    prefixed as ``kappa_sweep`` prefixes it."""
+    rows = []
+    for i, k in enumerate(ks, 1):
+        try:
+            rows += reference_kappa_sweep([k])
+        except (sp.StarphaseError, ValueError) as exc:
+            return (type(exc), f"kappa = {k!r} (row {i} of {len(ks)}): {exc}",
+                    getattr(exc, "point", None))
+    return hex_rows(rows)
+
+
+def sweep_outcome(ks):
+    """``oracle_sweep_outcome`` of ``kappa_sweep``."""
+    try:
+        return hex_rows(kappa_sweep(ks))
+    except (sp.StarphaseError, ValueError) as exc:
+        return type(exc), str(exc), getattr(exc, "point", None)
 
 
 def with_slopes(base, a_prime=None, b_prime=None):
@@ -184,11 +305,7 @@ class TestInvertH:
 
     def test_z_outside_domain_rejected(self, models):
         # H's domain check, made once at the left bracket end
-        base = models["stiff"]
-        bad = SystemModel(
-            spec=base.spec, a=base.a, b=base.b, a_prime=base.a_prime,
-            b_prime=base.b_prime, A=base.A, B=base.B, r=base.r, H=base.H,
-            field=base.field, x_max=base.z, a0=base.a0, z=base.z, w=base.w, x0=base.x0)
+        bad = x_max_at_z_model(models["stiff"])
         with pytest.raises(sp.DomainError, match="x outside"):
             sp.invert_H(bad, 0.1)
         assert_matches_reference(bad)
@@ -364,15 +481,7 @@ class TestHypotheses:
         check_hypotheses(each_model)
 
     def test_negative_b_detected(self, models):
-        base = models["stiff"]
-        bad = SystemModel(
-            spec=base.spec, a=base.a, b=lambda x: -np.ones_like(
-                np.asarray(x, dtype=float)),
-            a_prime=base.a_prime, b_prime=lambda x: np.zeros_like(
-                np.asarray(x, dtype=float)),
-            A=base.A, B=base.B, r=base.r, H=base.H,
-            field=base.field, x_max=base.x_max,
-            a0=base.a0, z=base.z, w=base.w, x0=base.x0)
+        bad = negative_b_model(models["stiff"])
         with pytest.raises(sp.HypothesisError):
             check_hypotheses(bad)
         assert_matches_reference(bad)
@@ -381,13 +490,7 @@ class TestHypotheses:
         # flip the sign of b' so the isocline slope condition
         # a' - b' y < 0 fails on the rectangle, with a named witness
         base = models["stiff"]
-        bad = SystemModel(
-            spec=base.spec, a=base.a, b=base.b, a_prime=base.a_prime,
-            b_prime=lambda x: -10.0 / np.square(1.0 - np.asarray(
-                x, dtype=float)),
-            A=base.A, B=base.B, r=base.r, H=base.H,
-            field=base.field, x_max=base.x_max,
-            a0=base.a0, z=base.z, w=base.w, x0=base.x0)
+        bad = hand_built_models(base)["b_prime_flipped"]
         with pytest.raises(sp.HypothesisError, match="a' - b' y") as err:
             check_hypotheses(bad)
         assert_matches_reference(bad)
@@ -449,33 +552,7 @@ class TestTwoOrdinateSlopeCheck:
         "b_prime_flipped", "a_prime_positive", "fails_below_mid_y",
         "fails_right_of_mid_x", "nan_rows", "all_ties"])
     def test_failing_models_match_the_mesh(self, models, n, case):
-        base = models["stiff"]
-        y_mid = 0.5 * (base.z + (base.a0 + 1.0) * base.w)
-        x_mid = 0.5 * (base.w + base.z)
-
-        def arr(x):
-            return np.asarray(x, dtype=float)
-
-        slopes = {
-            # a' - b' y rises with y: fails at the top ordinate
-            "b_prime_flipped": dict(
-                b_prime=lambda x: -10.0 / np.square(1.0 - arr(x))),
-            # falls with y: fails at the bottom ordinate
-            "a_prime_positive": dict(a_prime=lambda x: 10.0 + 0.0 * arr(x)),
-            # changes sign inside the y range
-            "fails_below_mid_y": dict(
-                a_prime=lambda x: base.b_prime(arr(x)) * y_mid),
-            # fails only at abscissae right of the middle
-            "fails_right_of_mid_x": dict(a_prime=lambda x: np.where(
-                arr(x) > x_mid, 1e3, base.a_prime(arr(x)))),
-            # nan never compares >= 0; argmax picks the first nan
-            "nan_rows": dict(a_prime=lambda x: np.where(
-                arr(x) > x_mid, np.nan, 10.0)),
-            # a' - b' y = 0 everywhere: every node ties
-            "all_ties": dict(a_prime=lambda x: 0.0 * arr(x),
-                             b_prime=lambda x: 0.0 * arr(x)),
-        }[case]
-        bad = with_slopes(base, **slopes)
+        bad = hand_built_models(models["stiff"])[case]
         want = hypothesis_outcome(mesh_slope_check, bad, n)
         assert want is not None
         assert hypothesis_outcome(check_hypotheses, bad, n) == want
@@ -540,3 +617,201 @@ class TestSweep:
         assert lines[0] == "kappa,z,w,alpha,D,E,X_closed,X_numeric"
         assert len(lines) == 3
         assert float(lines[1].split(",")[0]) == 0.25
+
+    def test_csv_bytes_equal_csv_writer(self, tmp_path):
+        rows = kappa_sweep([0.25, 0.75])
+        rows.append(dict.fromkeys(bounds.SWEEP_FIELDS, -0.0))
+        rows[-1].update(kappa=math.nan, z=math.inf, w=-math.inf, D=5e-324,
+                        E=1e300, X_closed=1 / 3)
+        path, want = tmp_path / "sweep.csv", tmp_path / "want.csv"
+        sweep_to_csv(rows, path)
+        with open(want, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(bounds.SWEEP_FIELDS)
+            for row in rows:
+                writer.writerow([repr(float(row[f]))
+                                 for f in bounds.SWEEP_FIELDS])
+        assert path.read_bytes() == want.read_bytes()
+
+
+class TestRowLinspace:
+    """``_row_linspace`` builds the rows of the batched grids; row i must
+    equal ``_linspace`` on the ends of row i bit for bit."""
+
+    @staticmethod
+    def assert_rows_equal(starts, stops, num):
+        with np.errstate(all="ignore"):
+            got = bounds._row_linspace(np.array(starts)[:, None],
+                                       np.array(stops)[:, None], num)
+            want = [bounds._linspace(a, b, num)
+                    for a, b in zip(starts, stops)]
+        assert got.shape == (len(starts), num)
+        for row, w in zip(got, want):
+            assert row.tobytes() == w.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(ends=st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+                         min_size=1, max_size=8),
+           num=st.integers(1, 900))
+    def test_rows_are_linspace(self, ends, num):
+        self.assert_rows_equal(*zip(*ends), num)
+
+    @pytest.mark.parametrize("num", [1, 2, 7, 800])
+    def test_subnormal_step_rows_among_normal_rows(self, num):
+        # the step of the first two rows underflows to zero, so those
+        # rows divide first; the others multiply
+        self.assert_rows_equal(
+            [0.0, 1.0, 0.0, 2.0, 0.0, math.nan, 0.0],
+            [5e-324, 1.0, 1.0, 1.0, math.inf, 1.0, 1e-300], num)
+
+    def test_float_ends_give_one_row(self):
+        got = bounds._row_linspace(0.0, 0.95, 800)
+        assert got.tobytes() == bounds._linspace(0.0, 0.95, 800).tobytes()
+
+
+def finite_members():
+    """``drawn_models`` without ``nonrel``: the batch needs a finite
+    x_max."""
+    return drawn_models().filter(lambda m: math.isfinite(m.x_max))
+
+
+class TestBatchedHypotheses:
+    """``_hypotheses_hold`` gives the verdict of ``check_hypotheses`` for
+    each member of a stack; a failing member is re-checked one by one."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(members=st.lists(st.one_of(
+        finite_members(),
+        # x_max = 1e-12: the r sample leaves the domain
+        st.just(sp.model("scaled", scale=1e12)),
+        st.sampled_from(sorted(hand_built_models(sp.model("stiff"))))),
+        min_size=1, max_size=bounds.SWEEP_CHUNK),
+        n=st.sampled_from([1, 2, 3, 200]))
+    def test_mixed_batch_matches_scalar_verdicts(self, members, n):
+        bad = hand_built_models(sp.model("stiff"))
+        members = [bad[m] if isinstance(m, str) else m for m in members]
+        with np.errstate(all="ignore"):
+            want = [hypothesis_outcome(check_hypotheses, m, n)
+                    for m in members]
+            got = bounds._hypotheses_hold(stacked(members), n)
+            assert got.tolist() == [w is None for w in want]
+            # the first failing member: re-checked alone, it raises what
+            # the oracle raises, witness included
+            failing = [m for m, ok in zip(members, got) if not ok]
+            if failing:
+                assert hypothesis_outcome(check_hypotheses, failing[0], n) \
+                    == hypothesis_outcome(reference_check_hypotheses,
+                                          failing[0], n) is not None
+
+    def test_kappa_column_rows_pass(self):
+        col = np.geomspace(1e-4, 1.0, 8)[:, None]
+        p = sp.models.relativistic(col, 1.0)
+        assert bounds._hypotheses_hold(p).tolist() == [True] * 8
+
+    def test_column_z_takes_float_power(self):
+        # for these kappa C pow((k + 1), 2) and (k + 1) * (k + 1) round
+        # differently; the column z must be the float z
+        ks = [0.3795, 0.6658, 0.4437, 0.0204]
+        assert all((k + 1.0) ** 2 != (k + 1.0) * (k + 1.0) for k in ks)
+        p = sp.models.relativistic(np.array(ks)[:, None], 1.0)
+        assert p.z.ravel().tolist() == [sp.model("kappa", kappa=k).z
+                                        for k in ks]
+
+    @settings(max_examples=100, deadline=None)
+    @given(ks=st.lists(st.floats(-12.0, 0.0).map(lambda e: 10.0 ** e),
+                       min_size=1, max_size=8),
+           e_scale=st.floats(-3.0, 3.0))
+    def test_relativistic_rows_equal_make_model(self, ks, e_scale):
+        # the constants of a column of members are those of each member,
+        # bit for bit, and their callables agree on every row
+        s = 10.0 ** e_scale
+        p = sp.models.relativistic(np.array(ks)[:, None], s)
+        xs = np.linspace(0.0, 0.9 / s, 50)
+        for i, k in enumerate(ks):
+            q = sp.models.relativistic(k, s)
+            for name in ("beta", "gamma", "P", "c", "gs", "x_max", "z", "w",
+                         "x0", "a0"):
+                assert float.hex(float(np.broadcast_to(
+                    getattr(p, name), (len(ks), 1))[i, 0])) \
+                    == float.hex(getattr(q, name)), name
+            for name in ("a", "b", "r", "a_prime", "b_prime"):
+                assert getattr(p, name)(xs)[i].tobytes() \
+                    == getattr(q, name)(xs).tobytes(), name
+
+
+class TestBatchedSweep:
+    """``kappa_sweep`` checks hypotheses in chunks; every row and every
+    error equals the one-``bound_X``-per-row oracle."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 60), ea=st.floats(-4.0, 0.0),
+           eb=st.floats(-4.0, 0.0),
+           order=st.sampled_from(["ascending", "descending", "constant"]))
+    def test_rows_equal_the_oracle(self, n, ea, eb, order):
+        lo, hi = sorted([10.0 ** ea, 10.0 ** eb])
+        if order == "descending":
+            lo, hi = hi, lo
+        elif order == "constant":
+            hi = lo
+        ks = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+        assert sweep_outcome(ks) == oracle_sweep_outcome(ks)
+
+    @pytest.mark.parametrize("ks", [
+        [0.5, 1e-6, 0.7], [1e-10], [0.3, 0.0, 1e-6], [0.2, 1.5],
+        [0.1] * 9 + [math.nan]])
+    def test_errors_equal_the_oracle(self, ks):
+        got = sweep_outcome(ks)
+        assert not isinstance(got, list)
+        assert got == oracle_sweep_outcome(ks)
+
+    def test_error_names_its_row(self):
+        with pytest.raises(sp.ConvergenceError) as err:
+            kappa_sweep([0.5, 0.6, 1e-6])
+        assert str(err.value).startswith(
+            "kappa = 1e-06 (row 3 of 3): closed form X = ")
+
+    def test_passing_sweep_checks_in_batches(self, monkeypatch):
+        ks = [0.02 + (1.0 - 0.02) * i / 39 for i in range(40)]
+        want = hex_rows(reference_kappa_sweep(ks))
+        calls = {"scalar": 0, "batch": 0}
+        scalar, batch = bounds.check_hypotheses, bounds._hypotheses_hold
+
+        def counting_scalar(*args, **kwargs):
+            calls["scalar"] += 1
+            return scalar(*args, **kwargs)
+
+        def counting_batch(*args, **kwargs):
+            calls["batch"] += 1
+            return batch(*args, **kwargs)
+
+        monkeypatch.setattr(bounds, "check_hypotheses", counting_scalar)
+        monkeypatch.setattr(bounds, "_hypotheses_hold", counting_batch)
+        assert hex_rows(kappa_sweep(ks)) == want
+        assert calls == {"scalar": 0, "batch": 5}
+
+    def test_failing_rows_rechecked_in_order(self, monkeypatch):
+        # the batch fails rows 2 and 12; the scalar check passes row 2
+        # and raises on row 12 with a witness, which the sweep keeps
+        checked = []
+
+        def batch(p, n=200):
+            k = p.beta.ravel()
+            return ~np.isin(k, [sp.models.relativistic(0.2, 1.0).beta,
+                                sp.models.relativistic(0.7, 1.0).beta])
+
+        def scalar(m, n=200):
+            checked.append(m.spec.kappa)
+            if m.spec.kappa == 0.7:
+                raise sp.HypothesisError("b < 0 at x = 0.5", point=(0.5,))
+
+        monkeypatch.setattr(bounds, "_hypotheses_hold", batch)
+        monkeypatch.setattr(bounds, "check_hypotheses", scalar)
+        ks = [0.1, 0.2] + [0.3] * 9 + [0.7, 0.8]
+        with pytest.raises(sp.HypothesisError) as err:
+            kappa_sweep(ks)
+        assert checked == [0.2, 0.7]
+        assert str(err.value) == "kappa = 0.7 (row 12 of 13): b < 0 at x = 0.5"
+        assert err.value.point == (0.5,)
+
+    def test_empty_grid(self):
+        assert kappa_sweep([]) == []

@@ -1,8 +1,10 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import starphase as sp
@@ -117,6 +119,66 @@ class TestBound:
         assert code == 3
         assert out == ""
         assert spec in err and "N >= 2" in err
+
+
+    def test_sweep_csv_bytes_frozen(self, capsys, tmp_path):
+        # SHA-256 of the CSV as written before the hypotheses of a sweep
+        # were checked in batches
+        path = tmp_path / "sweep.csv"
+        code, _, _ = run(capsys, "bound", "--model", "kappa",
+                         "--sweep-kappa", "0.02:1:40", "--out", str(path))
+        assert code == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "bbaebc61c7024f5fee26f799b267bc5f4edc0901520a10c34474eff99e29f92c")
+
+    @pytest.mark.parametrize("spec", [
+        "0:1:5", "-0.1:0.5:3", "0.1:1.5:3", "1.0000000000000002:0.5:3",
+        "nan:0.5:3", "0.1:inf:3", "-inf:0.5:3", "0.1:nan:4"])
+    def test_sweep_ends_outside_unit_interval_exit_3(self, capsys, tmp_path,
+                                                     monkeypatch, spec):
+        monkeypatch.setattr(cli, "kappa_sweep", None)  # never reached
+        path = tmp_path / "sweep.csv"
+        code, out, err = run(capsys, "bound", "--model", "kappa",
+                             f"--sweep-kappa={spec}", "--out", str(path))
+        assert code == 3
+        assert out == "" and not path.exists()
+        assert f"bad sweep spec {spec!r}: A and B must lie in (0, 1]" in err
+
+    @pytest.mark.parametrize("n", [cli.MAX_SWEEP_ROWS + 1, 10 ** 9])
+    def test_sweep_above_max_rows_exit_3(self, capsys, tmp_path, monkeypatch,
+                                         n):
+        monkeypatch.setattr(cli, "kappa_sweep", None)  # never reached
+        path = tmp_path / "sweep.csv"
+        spec = f"0.1:0.5:{n}"
+        code, out, err = run(capsys, "bound", "--model", "kappa",
+                             "--sweep-kappa", spec, "--out", str(path))
+        assert code == 3
+        assert out == "" and not path.exists()
+        assert (f"bad sweep spec {spec!r}: N = {n} is above "
+                f"MAX_SWEEP_ROWS = 100000") in err
+
+    def test_sweep_error_names_its_row(self, capsys, tmp_path):
+        path = tmp_path / "sweep.csv"
+        code, out, err = run(capsys, "bound", "--model", "kappa",
+                             "--sweep-kappa", "1e-6:1e-3:5",
+                             "--out", str(path))
+        assert code == 4
+        assert out == "" and not path.exists()
+        assert err.startswith("error: kappa = 1e-06 (row 1 of 5): "
+                              "closed form X = ")
+        assert "CLOSED_FORM_TOL" in err
+
+    def test_sweep_hypothesis_error_keeps_exit_3(self, capsys, monkeypatch):
+        def failing(m, n=200):
+            raise sp.HypothesisError("b < 0 at x = 0.5", point=(0.5,))
+
+        monkeypatch.setattr(sp.bounds, "_hypotheses_hold",
+                            lambda p, n=200: np.zeros(len(p.beta), bool))
+        monkeypatch.setattr(sp.bounds, "check_hypotheses", failing)
+        code, _, err = run(capsys, "bound", "--model", "kappa",
+                           "--sweep-kappa", "0.2:1:3")
+        assert code == 3
+        assert err == "error: kappa = 0.2 (row 1 of 3): b < 0 at x = 0.5\n"
 
 
 class TestTrajectory:
