@@ -166,7 +166,9 @@ def _sweep_kappas(spec: str) -> list[float]:
     if n > MAX_SWEEP_ROWS:
         raise DomainError(f"bad sweep spec {spec!r}: N = {n} is above "
                           f"MAX_SWEEP_ROWS = {MAX_SWEEP_ROWS}")
-    return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+    # the last value is B itself, as in np.linspace: lo + (hi - lo) can
+    # miss hi by an ulp
+    return [lo + (hi - lo) * i / (n - 1) for i in range(n - 1)] + [hi]
 
 
 def _cmd_bound(args) -> int:

@@ -106,18 +106,27 @@ def write_grid_csv(path, grid: LevelSetGrid, header, columns) -> None:
                 for y, ok, vals in zip(ys, grid.valid[i].tolist(), fields)))
 
 
+#: most nodes (nx * ny) a ``level_set_grid`` may sample; the portrait
+#: exports hold several arrays of that size, the SVG one per level
+MAX_GRID_NODES = 10 ** 6
+
+
 def level_set_grid(m: SystemModel, x_range, y_range,
                    nx: int, ny: int) -> LevelSetGrid:
     """Sample V on the closed box ``x_range`` x ``y_range``.
 
     Cells with x outside [0, x_max) or y <= 0 are flagged invalid rather
-    than evaluated.
+    than evaluated.  Raises ValueError for a non-finite or empty box and
+    for more than MAX_GRID_NODES nodes, before allocating anything.
     """
     if not all(math.isfinite(v) for v in (*x_range, *y_range)):
         raise ValueError(f"plot box bounds must be finite, got x range "
                          f"{tuple(x_range)} and y range {tuple(y_range)}")
     if nx < 1 or ny < 1 or x_range[1] < x_range[0] or y_range[1] < y_range[0]:
         raise ValueError("empty grid range")
+    if int(nx) * int(ny) > MAX_GRID_NODES:
+        raise ValueError(f"grid of {nx} x {ny} nodes is above "
+                         f"MAX_GRID_NODES = {MAX_GRID_NODES}")
     xs = np.linspace(x_range[0], x_range[1], nx)
     ys = np.linspace(y_range[0], y_range[1], ny)
     X, Y = np.meshgrid(xs, ys, indexing="ij")

@@ -5,13 +5,20 @@ components and the Lyapunov value); the SVG rendering is a convenience
 view with normalised field arrows and Lyapunov level polylines.
 
 The polylines come from vectorised marching squares on the sampled
-grid: numpy computes each cell's 4-bit case from a 16-entry table and
-one crossing point per crossed grid edge, and the segments are chained
-through a dict keyed on integer edge ids, so that matching endpoints
-needs no float tolerance.
+grid: ``marching_squares`` takes one level or a sequence of levels and
+handles all of them in one numpy pass.  numpy computes each cell's 4-bit
+case at every level, its segments from a 16-entry table, and one
+crossing point per crossed grid edge.  Every grid edge has an integer
+id, offset by the level's index times the number of edges so that no
+two levels share an id.  The segments are chained through compact
+indices of those ids, so that matching endpoints needs no float
+tolerance, and the polylines come out level by level, each level's in
+the order of a one-level call.
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 import numpy as np
 
@@ -76,74 +83,118 @@ def _case_segments():
 _CASE_SEGMENTS = _case_segments()
 
 
-def marching_squares(grid: LevelSetGrid, level: float) -> list:
-    """Level-set polylines of V at one level, as lists of (x, y) points.
+def marching_squares(grid: LevelSetGrid, level) -> list:
+    """Level-set polylines of V, as lists of (x, y) points.
+
+    ``level`` is a float or a sequence of floats; for a sequence the
+    polylines of each level follow those of the level before it, so the
+    result equals the concatenation of the one-level results.
 
     Marching squares with linear edge interpolation (Lorensen & Cline
-    1987).  numpy classifies every cell by its 4-bit case (a corner's bit
-    is set where V > level), skips cells with any invalid corner, and
-    interpolates one crossing point per crossed grid edge.  Segments join
-    crossed edges of a cell as in ``_case_segments``: in a saddle cell
-    the crossings, taken bottom, right, top, left, pair 0-1 and 2-3.
+    1987), all levels in one numpy pass.  numpy classifies every cell at
+    every level by its 4-bit case (a corner's bit is set where
+    V > level), held as uint8 in one (levels, nx-1, ny-1) array, skips
+    cells with any invalid corner, and interpolates one crossing point
+    per crossed grid edge.  Segments join crossed edges of a cell as in
+    ``_case_segments``: in a saddle cell the crossings, taken bottom,
+    right, top, left, pair 0-1 and 2-3.  Within a level the segments
+    keep cell order, the first segment of every crossed cell before the
+    second segments of the saddle cells.
 
     Each grid edge has an integer id: the horizontal edge (i, j)-(i+1, j)
     is ``i*ny + j`` and the vertical edge (i, j)-(i, j+1) is
-    ``(nx-1)*ny + i*(ny-1) + j``.  Two segments join exactly where they
-    share an edge id, so chaining needs no float tolerance.  Open chains
-    start from their end ids in ascending order; the closed loops
-    follow, each from its smallest id, with the first point repeated at
-    the end.
+    ``(nx-1)*ny + i*(ny-1) + j``, and level k adds ``k * n_edges``, so
+    the levels share no id.  Two segments join exactly where they share
+    an id, so chaining needs no float tolerance.  The sorted distinct
+    ids are renumbered 0..n-1, and a stable sort of the segment ends
+    gives each of them its one or two neighbours in segment order.  In
+    each level, open chains start from their end ids in ascending
+    order; the closed loops follow, each from its smallest id, with the
+    first point repeated at the end.
     """
     xs, ys, V, ok = grid.xs, grid.ys, grid.values, grid.valid
     nx, ny = V.shape
-    above = (V > level).astype(np.intp)
-    case = (above[:-1, :-1] | above[1:, :-1] << 1 | above[1:, 1:] << 2
-            | above[:-1, 1:] << 3)
+    levels = np.asarray(level, dtype=float).reshape(-1)
+    above = (V > levels[:, None, None]).view(np.uint8)
+    case = (above[:, :-1, :-1] | above[:, 1:, :-1] * 2
+            | above[:, 1:, 1:] * 4 | above[:, :-1, 1:] * 8)
     cell_ok = ok[:-1, :-1] & ok[1:, :-1] & ok[1:, 1:] & ok[:-1, 1:]
-    ci, cj = np.nonzero(cell_ok & (case != 0) & (case != 15))
+    crossed = np.flatnonzero(cell_ok & (case != 0) & (case != 15))
+    if crossed.size == 0:
+        return []
+    lk, cell = np.divmod(crossed, (nx - 1) * (ny - 1))
+    ci, cj = np.divmod(cell, ny - 1)
 
     off = (nx - 1) * ny
-    edges = np.stack([ci * ny + cj, off + (ci + 1) * (ny - 1) + cj,
-                      ci * ny + cj + 1, off + ci * (ny - 1) + cj], axis=1)
-    pairs = _CASE_SEGMENTS[case[ci, cj]]
+    n_edges = off + nx * (ny - 1)
+    h = lk * n_edges + ci * ny + cj
+    v = lk * n_edges + off + ci * (ny - 1) + cj
+    edges = np.stack([h, v + (ny - 1), h + 1, v], axis=1)
+    pairs = _CASE_SEGMENTS[case.ravel()[crossed]]
     saddle = pairs[:, 1, 0] >= 0
     segments = np.concatenate([
         np.take_along_axis(edges, pairs[:, 0], axis=1),
         np.take_along_axis(edges[saddle], pairs[saddle, 1], axis=1)])
+    segments = segments[np.argsort(np.concatenate([lk, lk[saddle]]),
+                                   kind="stable")]
 
-    ids = np.unique(segments)
-    h, v = ids[ids < off], ids[ids >= off] - off
-    hi, hj = np.divmod(h, ny)
-    vi, vj = np.divmod(v, ny - 1)
-    th = (level - V[hi, hj]) / (V[hi + 1, hj] - V[hi, hj])
-    tv = (level - V[vi, vj]) / (V[vi, vj + 1] - V[vi, vj])
-    px = np.concatenate([xs[hi] + th * (xs[hi + 1] - xs[hi]), xs[vi]])
-    py = np.concatenate([ys[hj], ys[vj] + tv * (ys[vj + 1] - ys[vj])])
-    point = dict(zip(ids.tolist(), zip(px.tolist(), py.tolist())))
+    # compact indices 0..n-1 of the distinct ids, from one stable sort
+    # of the segment ends that also groups each id's neighbours in
+    # segment order: first, and second (-1 at a chain end)
+    ends = segments.ravel()
+    order = np.argsort(ends, kind="stable")
+    sorted_ends = ends[order]
+    head = np.empty(ends.size, dtype=bool)
+    head[0] = True
+    np.not_equal(sorted_ends[1:], sorted_ends[:-1], out=head[1:])
+    compact = np.empty(ends.size, dtype=np.intp)
+    compact[order] = np.cumsum(head) - 1
+    nbr = compact.reshape(-1, 2)[:, ::-1].ravel()[order]
+    first = np.flatnonzero(head)
+    last = np.append(first[1:], ends.size) - 1
+    nb1 = nbr[first].tolist()
+    nb2 = np.where(last > first, nbr[last], -1).tolist()
+    ids = sorted_ends[first]
 
-    nbrs = {}
-    for a, b in segments.tolist():
-        nbrs.setdefault(a, []).append(b)
-        nbrs.setdefault(b, []).append(a)
-    order = ids.tolist()
-    seen = set()
+    k, loc = np.divmod(ids, n_edges)
+    lv = levels[k]
+    px, py = np.empty(ids.size), np.empty(ids.size)
+    hor = loc < off
+    hi, hj = np.divmod(loc[hor], ny)
+    th = (lv[hor] - V[hi, hj]) / (V[hi + 1, hj] - V[hi, hj])
+    px[hor] = xs[hi] + th * (xs[hi + 1] - xs[hi])
+    py[hor] = ys[hj]
+    ver = ~hor
+    vi, vj = np.divmod(loc[ver] - off, ny - 1)
+    tv = (lv[ver] - V[vi, vj]) / (V[vi, vj + 1] - V[vi, vj])
+    px[ver] = xs[vi]
+    py[ver] = ys[vj] + tv * (ys[vj + 1] - ys[vj])
+    point = list(zip(px.tolist(), py.tolist()))
+
+    # per level: its chain ends ascending, then all of its ids
+    tips = np.flatnonzero(last == first)
+    starts = np.concatenate([tips, np.arange(ids.size)])
+    starts = starts[np.argsort(np.concatenate([2 * k[tips], 2 * k + 1]),
+                               kind="stable")]
+
+    seen = [False] * ids.size
     polylines = []
-    for start in [e for e in order if len(nbrs[e]) == 1] + order:
-        if start in seen:
+    for start in starts.tolist():
+        if seen[start]:
             continue
-        seen.add(start)
+        seen[start] = True
         line = [point[start]]
-        prev, cur = None, start
+        prev, cur = -1, start
         while True:
-            adj = nbrs[cur]
-            nxt = adj[0] if adj[0] != prev else (
-                adj[1] if len(adj) > 1 else None)
-            if nxt is None:
-                break
+            nxt = nb1[cur]
+            if nxt == prev:
+                nxt = nb2[cur]
+                if nxt < 0:
+                    break
             line.append(point[nxt])
-            if nxt in seen:  # back at the start of a closed loop
+            if seen[nxt]:  # back at the start of a closed loop
                 break
-            seen.add(nxt)
+            seen[nxt] = True
             prev, cur = cur, nxt
         polylines.append(line)
     return polylines
@@ -171,23 +222,26 @@ def portrait_svg(m: SystemModel, x_range, y_range, nx: int, ny: int,
              f'height="{height}" viewBox="0 0 {width} {height}">',
              f'<rect width="{width}" height="{height}" fill="white"/>']
 
+    # "%.2f" % v and f"{v:.2f}" give the same text for every float, so
+    # each polyline and all arrows are formatted by one %-format call
     finite = grid.values[grid.valid]
     if finite.size:
         vmin = float(np.nanmin(finite))
         vmax = float(np.nanquantile(finite, 0.85))
-        lines = [line
-                 for q in np.linspace(0.0, 1.0, levels + 2)[1:-1]
-                 for line in marching_squares(grid, vmin + q * (vmax - vmin))]
+        lines = marching_squares(
+            grid, [vmin + q * (vmax - vmin)
+                   for q in np.linspace(0.0, 1.0, levels + 2)[1:-1]])
         if lines:
             # every vertex of every polyline mapped in one numpy pass
-            xy = np.array([p for line in lines for p in line])
-            px, py = to_px(xy[:, 0], xy[:, 1])
-            coords = [f"{a:.2f},{b:.2f}"
-                      for a, b in zip(px.tolist(), py.tolist())]
+            xy = np.fromiter(chain.from_iterable(chain.from_iterable(lines)),
+                             float)
+            xy[0::2], xy[1::2] = to_px(xy[0::2], xy[1::2])
+            coords = xy.tolist()
             k = 0
             for line in lines:
-                pts = " ".join(coords[k:k + len(line)])
-                k += len(line)
+                n = len(line)
+                pts = " ".join(["%.2f,%.2f"] * n) % tuple(coords[k:k + 2 * n])
+                k += 2 * n
                 parts.append(f'<polyline points="{pts}" fill="none" '
                              f'stroke="#7a5fc0" stroke-width="1"/>')
 
@@ -202,13 +256,14 @@ def portrait_svg(m: SystemModel, x_range, y_range, nx: int, ny: int,
     norm = np.hypot(u, w)
     keep = grid.valid[sub] & (norm != 0.0)
     u, w, norm, x, y = u[keep], w[keep], norm[keep], X[keep], Y[keep]
-    tail = to_px(x, y)
-    tip = to_px(x + arrow * u / norm, y + arrow * w / norm)
-    for ax, ay, bx, by in zip(*(c.tolist() for c in tail + tip)):
-        parts.append(f'<line x1="{ax:.2f}" y1="{ay:.2f}" x2="{bx:.2f}" '
-                     f'y2="{by:.2f}" stroke="#444" stroke-width="0.8"/>')
-        parts.append(f'<circle cx="{bx:.2f}" cy="{by:.2f}" r="1.2" '
-                     f'fill="#444"/>')
+    if x.size:
+        ax, ay = to_px(x, y)
+        bx, by = to_px(x + arrow * u / norm, y + arrow * w / norm)
+        svg = ('<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" stroke="#444" '
+               'stroke-width="0.8"/>\n'
+               '<circle cx="%.2f" cy="%.2f" r="1.2" fill="#444"/>')
+        values = np.stack([ax, ay, bx, by, bx, by], axis=1).ravel().tolist()
+        parts.append("\n".join([svg] * x.size) % tuple(values))
 
     zx, zy = to_px(m.z, m.z)
     parts.append(f'<circle cx="{zx:.2f}" cy="{zy:.2f}" r="3.5" '

@@ -131,6 +131,26 @@ class TestBound:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "bbaebc61c7024f5fee26f799b267bc5f4edc0901520a10c34474eff99e29f92c")
 
+    def test_sweep_ends_exactly_at_b(self, capsys, tmp_path):
+        # lo + (hi - lo) * 44/44 is 1.0000000000000002 for this spec
+        path = tmp_path / "f.csv"
+        code, _, err = run(capsys, "bound", "--model", "kappa",
+                           "--sweep-kappa", "0.22053849081414173:1:45",
+                           "--out", str(path))
+        assert code == 0, err
+        rows = path.read_text().splitlines()[1:]
+        assert len(rows) == 45
+        assert float(rows[0].split(",")[0]) == 0.22053849081414173
+        assert rows[-1].split(",")[0] == "1.0"
+
+    @pytest.mark.parametrize("spec", ["0.22053849081414173:1:45",
+                                      "0.02:1:40", "0.9:0.1:7"])
+    def test_sweep_grid_is_the_formula_with_b_last(self, spec):
+        a, b, n = spec.split(":")
+        lo, hi, n = float(a), float(b), int(n)
+        assert cli._sweep_kappas(spec) == \
+            [lo + (hi - lo) * i / (n - 1) for i in range(n - 1)] + [hi]
+
     @pytest.mark.parametrize("spec", [
         "0:1:5", "-0.1:0.5:3", "0.1:1.5:3", "1.0000000000000002:0.5:3",
         "nan:0.5:3", "0.1:inf:3", "-inf:0.5:3", "0.1:nan:4"])
@@ -320,6 +340,22 @@ class TestPortrait:
         assert code == 3
         assert repr(spec) in err and "LO:HI" in err
         assert not path.exists()
+
+    def test_single_node_svg(self, capsys, tmp_path):
+        path = tmp_path / "x.svg"
+        code, _, err = run(capsys, "portrait", "--model", "stiff",
+                           "--grid", "1,1", "--out", str(path))
+        assert code == 0, err
+        assert path.read_text().startswith("<svg")
+
+    @pytest.mark.parametrize("ext", ["svg", "csv"])
+    def test_grid_above_max_nodes_exit_3(self, capsys, tmp_path, ext):
+        path = tmp_path / f"field.{ext}"
+        code, out, err = run(capsys, "portrait", "--model", "stiff",
+                             "--grid", "100000,100000", "--out", str(path))
+        assert code == 3
+        assert out == "" and not path.exists()
+        assert "MAX_GRID_NODES = 1000000" in err
 
     def test_degenerate_svg_box_exit_3(self, capsys, tmp_path):
         path = tmp_path / "field.svg"

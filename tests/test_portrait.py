@@ -9,8 +9,8 @@ import pytest
 
 import starphase as sp
 from starphase.lyapunov import LevelSetGrid
-from starphase.portrait import default_ranges, field_grid, marching_squares
-from starphase.portrait import portrait_csv, portrait_svg
+from starphase.portrait import _CASE_SEGMENTS, default_ranges, field_grid
+from starphase.portrait import marching_squares, portrait_csv, portrait_svg
 
 
 # -- reference implementation: per-cell marching squares with a greedy
@@ -84,6 +84,88 @@ def _chain_segments(segments, tol: float = 1e-12):
 
 def _close(p, q, tol):
     return abs(p[0] - q[0]) <= tol and abs(p[1] - q[1]) <= tol
+
+
+# -- exact oracle: the one-level marching squares with a dict chainer
+# -- that the batched one replaced; same polylines, same order, same bits
+
+def dict_marching_squares(grid: LevelSetGrid, level: float) -> list:
+    """Level-set polylines of V at one level, as lists of (x, y) points.
+
+    Marching squares with linear edge interpolation (Lorensen & Cline
+    1987).  numpy classifies every cell by its 4-bit case (a corner's bit
+    is set where V > level), skips cells with any invalid corner, and
+    interpolates one crossing point per crossed grid edge.  Segments join
+    crossed edges of a cell as in ``_case_segments``: in a saddle cell
+    the crossings, taken bottom, right, top, left, pair 0-1 and 2-3.
+
+    Each grid edge has an integer id: the horizontal edge (i, j)-(i+1, j)
+    is ``i*ny + j`` and the vertical edge (i, j)-(i, j+1) is
+    ``(nx-1)*ny + i*(ny-1) + j``.  Two segments join exactly where they
+    share an edge id, so chaining needs no float tolerance.  Open chains
+    start from their end ids in ascending order; the closed loops
+    follow, each from its smallest id, with the first point repeated at
+    the end.
+    """
+    xs, ys, V, ok = grid.xs, grid.ys, grid.values, grid.valid
+    nx, ny = V.shape
+    above = (V > level).astype(np.intp)
+    case = (above[:-1, :-1] | above[1:, :-1] << 1 | above[1:, 1:] << 2
+            | above[:-1, 1:] << 3)
+    cell_ok = ok[:-1, :-1] & ok[1:, :-1] & ok[1:, 1:] & ok[:-1, 1:]
+    ci, cj = np.nonzero(cell_ok & (case != 0) & (case != 15))
+
+    off = (nx - 1) * ny
+    edges = np.stack([ci * ny + cj, off + (ci + 1) * (ny - 1) + cj,
+                      ci * ny + cj + 1, off + ci * (ny - 1) + cj], axis=1)
+    pairs = _CASE_SEGMENTS[case[ci, cj]]
+    saddle = pairs[:, 1, 0] >= 0
+    segments = np.concatenate([
+        np.take_along_axis(edges, pairs[:, 0], axis=1),
+        np.take_along_axis(edges[saddle], pairs[saddle, 1], axis=1)])
+
+    ids = np.unique(segments)
+    h, v = ids[ids < off], ids[ids >= off] - off
+    hi, hj = np.divmod(h, ny)
+    vi, vj = np.divmod(v, ny - 1)
+    th = (level - V[hi, hj]) / (V[hi + 1, hj] - V[hi, hj])
+    tv = (level - V[vi, vj]) / (V[vi, vj + 1] - V[vi, vj])
+    px = np.concatenate([xs[hi] + th * (xs[hi + 1] - xs[hi]), xs[vi]])
+    py = np.concatenate([ys[hj], ys[vj] + tv * (ys[vj + 1] - ys[vj])])
+    point = dict(zip(ids.tolist(), zip(px.tolist(), py.tolist())))
+
+    nbrs = {}
+    for a, b in segments.tolist():
+        nbrs.setdefault(a, []).append(b)
+        nbrs.setdefault(b, []).append(a)
+    order = ids.tolist()
+    seen = set()
+    polylines = []
+    for start in [e for e in order if len(nbrs[e]) == 1] + order:
+        if start in seen:
+            continue
+        seen.add(start)
+        line = [point[start]]
+        prev, cur = None, start
+        while True:
+            adj = nbrs[cur]
+            nxt = adj[0] if adj[0] != prev else (
+                adj[1] if len(adj) > 1 else None)
+            if nxt is None:
+                break
+            line.append(point[nxt])
+            if nxt in seen:  # back at the start of a closed loop
+                break
+            seen.add(nxt)
+            prev, cur = cur, nxt
+        polylines.append(line)
+    return polylines
+
+
+def oracle_levels(grid: LevelSetGrid, levels) -> list:
+    """The oracle's polylines of each level in turn."""
+    return [line for level in levels
+            for line in dict_marching_squares(grid, level)]
 
 
 # -- helpers
@@ -180,6 +262,79 @@ class TestAgainstReference:
             segment_array(reference_marching_squares(grid, 0.5)))
 
 
+# -- marching squares against the exact oracle
+
+def random_grid(rng, nx: int, ny: int) -> LevelSetGrid:
+    """Values on a few integer steps, so that saddles and exact level
+    hits are common, plus a jitter on half the grids; about one node in
+    seven invalid, holding nan."""
+    V = rng.integers(0, 4, (nx, ny)).astype(float)
+    if rng.random() < 0.5:
+        V += rng.random((nx, ny))
+    ok = rng.random((nx, ny)) > 0.15
+    V[~ok] = np.nan
+    return LevelSetGrid(xs=np.sort(rng.random(nx)),
+                        ys=np.sort(rng.random(ny)), values=V, valid=ok)
+
+
+SADDLE = LevelSetGrid(xs=np.array([0.0, 1.0]), ys=np.array([0.0, 1.0]),
+                      values=np.array([[1.0, 0.0], [0.0, 1.0]]),
+                      valid=np.ones((2, 2), dtype=bool))
+
+
+class TestAgainstDictOracle:
+    @pytest.mark.parametrize("case", range(4))
+    def test_each_level_equals_oracle(self, each_model, case):
+        xr, yr, nx, ny = grid_cases(each_model)[case]
+        grid = sp.level_set_grid(each_model, xr, yr, nx, ny)
+        for level in svg_levels(grid):
+            assert marching_squares(grid, level) \
+                == dict_marching_squares(grid, level)
+
+    @pytest.mark.parametrize("case", range(4))
+    def test_levels_in_one_call_concatenate_oracle(self, each_model, case):
+        xr, yr, nx, ny = grid_cases(each_model)[case]
+        grid = sp.level_set_grid(each_model, xr, yr, nx, ny)
+        levels = svg_levels(grid)
+        assert marching_squares(grid, levels) == oracle_levels(grid, levels)
+        assert marching_squares(grid, np.array(levels)) \
+            == oracle_levels(grid, levels)
+
+    def test_saddle_grid(self):
+        levels = [0.25, 0.5, 0.75]
+        for level in levels:
+            assert marching_squares(SADDLE, level) \
+                == dict_marching_squares(SADDLE, level)
+        assert marching_squares(SADDLE, levels) \
+            == oracle_levels(SADDLE, levels)
+
+    def test_random_grids_with_invalid_corners(self):
+        rng = np.random.default_rng(20261018)
+        for _ in range(300):
+            grid = random_grid(rng, *rng.integers(1, 13, 2))
+            levels = (rng.integers(0, 4, 4)
+                      + np.where(rng.random(4) < 0.5, rng.random(4), 0.0))
+            levels = levels.tolist()
+            for level in levels:
+                assert marching_squares(grid, level) \
+                    == dict_marching_squares(grid, level)
+            assert marching_squares(grid, levels) \
+                == oracle_levels(grid, levels)
+
+    def test_random_grids_cover_saddles_and_invalid_cells(self):
+        rng = np.random.default_rng(20261018)
+        saddles = invalid = 0
+        for _ in range(300):
+            grid = random_grid(rng, *rng.integers(1, 13, 2))
+            V, ok = grid.values, grid.valid
+            a = V > 1.5
+            saddles += int(np.sum((a[:-1, :-1] == a[1:, 1:])
+                                  & (a[1:, :-1] == a[:-1, 1:])
+                                  & (a[:-1, :-1] != a[1:, :-1])))
+            invalid += int((~ok).sum())
+        assert saddles > 50 and invalid > 500
+
+
 # -- properties of the vectorised marching squares
 
 class TestMarchingSquares:
@@ -231,20 +386,40 @@ class TestMarchingSquares:
     def test_single_row_or_column_is_empty(self, models, nx, ny):
         m = models["stiff"]
         grid = sp.level_set_grid(m, (0.2, 0.9), (0.1, 1.5), nx, ny)
-        assert marching_squares(grid, float(np.nanmean(grid.values))) == []
+        level = float(np.nanmean(grid.values))
+        assert marching_squares(grid, level) == []
+        assert marching_squares(grid, [level, 0.5 * level]) == []
 
     def test_all_invalid_grid_is_empty(self, models):
         m = models["stiff"]  # x_max = 1: the whole box is past the pole
         grid = sp.level_set_grid(m, (1.5, 2.0), (0.1, 1.0), 10, 10)
         assert not grid.valid.any()
         assert marching_squares(grid, 0.1) == []
+        assert marching_squares(grid, [0.1, 0.2, 0.3]) == []
 
     def test_level_outside_value_range_is_empty(self, models):
         m = models["nonrel"]
         grid = sp.level_set_grid(m, *default_ranges(m), 25, 25)
         finite = grid.values[grid.valid]
-        assert marching_squares(grid, float(finite.min()) - 1.0) == []
-        assert marching_squares(grid, float(finite.max()) + 1.0) == []
+        below, above = float(finite.min()) - 1.0, float(finite.max()) + 1.0
+        assert marching_squares(grid, below) == []
+        assert marching_squares(grid, above) == []
+        assert marching_squares(grid, [below, above]) == []
+
+    def test_empty_level_sequence_is_empty(self, models):
+        m = models["kappa"]
+        grid = sp.level_set_grid(m, *default_ranges(m), 25, 25)
+        assert marching_squares(grid, []) == []
+        assert marching_squares(grid, np.array([])) == []
+
+    def test_empty_levels_between_crossed_ones(self, models):
+        m = models["stiff"]
+        grid = sp.level_set_grid(m, *default_ranges(m), 30, 30)
+        inside = svg_levels(grid)[:2]
+        beyond = float(np.nanmax(grid.values)) + 1.0
+        levels = [beyond, inside[0], beyond, inside[1], beyond]
+        lines = marching_squares(grid, levels)
+        assert lines and lines == oracle_levels(grid, levels)
 
 
 # -- CSV bytes against the csv-module writer
@@ -303,7 +478,8 @@ class TestCsvBytes:
 def reference_portrait_svg(m, x_range, y_range, nx, ny, path, levels=8,
                            width=640, height=480):
     """``portrait_svg`` as it mapped each vertex and arrow to pixels one
-    scalar call at a time; kept as the byte-for-byte oracle."""
+    scalar call at a time, with the polylines of the dict-chaining
+    oracle one level at a time; kept as the byte-for-byte oracle."""
     grid, U, W = field_grid(m, x_range, y_range, nx, ny)
     x0, x1 = x_range
     y0, y1 = y_range
@@ -328,7 +504,7 @@ def reference_portrait_svg(m, x_range, y_range, nx, ny, path, levels=8,
         vmax = float(np.nanquantile(finite, 0.85))
         for q in np.linspace(0.0, 1.0, levels + 2)[1:-1]:
             level = vmin + q * (vmax - vmin)
-            for line in marching_squares(grid, level):
+            for line in dict_marching_squares(grid, level):
                 pts = " ".join(f"{to_px(x, y)[0]:.2f},{to_px(x, y)[1]:.2f}"
                                for x, y in line)
                 parts.append(f'<polyline points="{pts}" fill="none" '
@@ -396,6 +572,26 @@ class TestSvgBytes:
         assert new.read_bytes() == ref.read_bytes()
 
 
+    @pytest.mark.parametrize("nx,ny", [(1, 1), (1, 30), (30, 1)])
+    def test_single_row_or_column(self, models, nx, ny, tmp_path):
+        m = models["stiff"]
+        xr, yr = default_ranges(m)
+        new, ref = tmp_path / "new.svg", tmp_path / "ref.svg"
+        portrait_svg(m, xr, yr, nx, ny, new)
+        reference_portrait_svg(m, xr, yr, nx, ny, ref)
+        assert "<polyline" not in new.read_text()
+        assert new.read_bytes() == ref.read_bytes()
+
+    def test_all_invalid_box(self, models, tmp_path):
+        m = models["stiff"]  # x_max = 1: the whole box is past the pole
+        new, ref = tmp_path / "new.svg", tmp_path / "ref.svg"
+        portrait_svg(m, (1.5, 2.0), (0.1, 1.0), 10, 10, new)
+        reference_portrait_svg(m, (1.5, 2.0), (0.1, 1.0), 10, 10, ref)
+        text = new.read_text()
+        assert "<polyline" not in text and "<line" not in text
+        assert new.read_bytes() == ref.read_bytes()
+
+
 # -- plot box validation
 
 class TestPlotBox:
@@ -406,6 +602,20 @@ class TestPlotBox:
                                                       y_range):
         with pytest.raises(ValueError, match="finite"):
             sp.level_set_grid(models["stiff"], x_range, y_range, 5, 5)
+
+    def test_level_set_grid_rejects_more_than_max_grid_nodes(self, models):
+        with pytest.raises(ValueError, match="MAX_GRID_NODES"):
+            sp.level_set_grid(models["stiff"], (0.1, 0.9), (0.1, 1.0),
+                              100000, 100000)
+
+    @pytest.mark.parametrize("export", [portrait_csv, portrait_svg])
+    def test_exports_reject_more_than_max_grid_nodes(self, models, export,
+                                                     tmp_path):
+        path = tmp_path / "p.out"
+        with pytest.raises(ValueError, match="MAX_GRID_NODES = 1000000"):
+            export(models["stiff"], (0.1, 0.9), (0.1, 1.0), 100000, 100000,
+                   path)
+        assert not path.exists()
 
     @pytest.mark.parametrize("x_range,y_range", [
         ((0.1, 0.1), (0.1, 1.0)), ((0.1, 0.9), (0.5, 0.5))])
