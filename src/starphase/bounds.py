@@ -44,10 +44,11 @@ from .models import (DOMAIN_GUARD, VERIFY_TOL, Family, ModelSpec, SystemModel,
 #: relative to X; ``bound_X`` raises above it
 CLOSED_FORM_TOL = 1e-9
 
-#: rows per batched hypothesis check in ``kappa_sweep``: at the default
-#: n = 200 its largest arrays, b and r on the 4n grid, hold 8 x 800
-#: floats (51 KB)
-SWEEP_CHUNK = 8
+#: rows per batched hypothesis check in ``kappa_sweep``, a memory cap: at
+#: the default n = 200 its largest arrays, b and r on the 4n grid, hold
+#: 64 x 800 floats (410 KB).  A batch's cost per row is near its floor
+#: from about 30 to 100 rows and rises above that (BENCH_14.json)
+SWEEP_CHUNK = 64
 
 #: columns of a ``kappa_sweep`` row, in CSV order
 SWEEP_FIELDS = ("kappa", "z", "w", "alpha", "D", "E", "X_closed", "X_numeric")
@@ -169,9 +170,9 @@ def check_hypotheses(m: SystemModel, n: int = 200) -> None:
 
     Raises HypothesisError naming the failing condition and a witness.
 
-    ``kappa_sweep`` evaluates the same samples for SWEEP_CHUNK (8)
-    members at once (``_hypotheses_hold``): the same elementwise IEEE
-    operations on the same values, so its verdict is this check's, bit
+    ``kappa_sweep`` evaluates the same samples for up to SWEEP_CHUNK
+    (64) members at once (``_hypotheses_hold``): the same elementwise
+    IEEE operations on the same values, so its verdict is this check's, bit
     for bit; only a member it fails comes back here for the message.
     """
     if m.a0 <= 0.0:
@@ -352,23 +353,42 @@ class KappaConstants:
         }
 
 
-def kappa_constants(kappa: float) -> KappaConstants:
-    """Evaluate the published kappa-family constants at one kappa."""
-    k = float(kappa)
-    if not 0.0 < k <= 1.0:
-        raise ValueError(f"kappa must lie in (0, 1], got {kappa}")
+def _lambert_constants(k: float) -> tuple[float, float, float, float]:
+    """z, alpha, s and D of the published bound at kappa k in (0, 1],
+    verbatim: the one coding of these formulas, for ``kappa_constants``
+    and for the alpha and D columns of ``kappa_sweep``."""
     one = (1.0 + k)
     den2 = 4.0 * k + one ** 2          # 4k + (1+k)^2
     den3 = 4.0 * k + one ** 3          # 4k + (1+k)^3
-    z = 4.0 * k / den2
-    w = 4.0 * k / (3.0 * k * k + 8.0 * k + 1.0)
     alpha = (1.0 + 5.0 * k) / one * den2 / den3
     s = one / (2.0 * k) * den3 / den2
     D = 2.0 * (1.0 + 5.0 * k) / den2 + s * math.log(one ** 2 / den2)
+    return 4.0 * k / den2, alpha, s, D
+
+
+def kappa_constants(kappa: float) -> KappaConstants:
+    """Evaluate the published kappa-family constants at one kappa.
+
+    Raises ValueError for kappa outside (0, 1], and below kappa of about
+    2.6e-155, where 8 kappa^2 underflows so far that delta overflows
+    (below about 1e-162 it is 0).
+    """
+    k = float(kappa)
+    if not 0.0 < k <= 1.0:
+        raise ValueError(f"kappa must lie in (0, 1], got {kappa}")
+    eight_k2 = 8.0 * k * k
+    delta = (5.0 * k + 1.0) * (1.0 + k) ** 2 / eight_k2 \
+        if eight_k2 else math.inf
+    if delta == math.inf:
+        raise ValueError(
+            f"kappa = {kappa} is too small: 8 kappa^2 = {eight_k2!r} "
+            "underflows and delta = (5k + 1)(k + 1)^2 / (8 kappa^2) "
+            "overflows")
+    z, alpha, s, D = _lambert_constants(k)
+    w = 4.0 * k / (3.0 * k * k + 8.0 * k + 1.0)
     E = (12.0 * k / (3.0 * k * k + 8.0 * k + 1.0) - z
          - z * math.log((3.0 * k * k + 18.0 * k + 3.0)
                         / (3.0 * k * k + 8.0 * k + 1.0)))
-    delta = (5.0 * k + 1.0) * one ** 2 / (8.0 * k * k)
     # log z + delta log(1 - z): the power (1 - z)**delta underflows to 0
     # for kappa below about 6e-4, where delta ~ 1/(8 kappa^2) is huge
     C = (3.0 + 1.0 / k) * z + 2.0 * z * (math.log(z) + delta * math.log1p(-z))
@@ -383,12 +403,14 @@ def kappa_constants(kappa: float) -> KappaConstants:
 def kappa_sweep(kappas) -> list[dict]:
     """Bound evaluation over a kappa grid.
 
-    Each row carries the published constants alongside both bound
-    routes; ``X_closed`` is the primitive-consistent closed form (equal
-    to ``X_numeric`` to round-off).
+    Each row carries the published alpha and D (``_lambert_constants``,
+    as ``kappa_constants`` reports them) alongside both bound routes;
+    ``X_closed`` is the primitive-consistent closed form (equal to
+    ``X_numeric`` to round-off).
 
-    The hypotheses are checked SWEEP_CHUNK rows at a time: one array
-    evaluation of ``check_hypotheses``'s samples for the stacked members
+    The hypotheses are checked SWEEP_CHUNK (64) rows at a time, a
+    shorter sweep in one batch: one array evaluation of
+    ``check_hypotheses``'s samples for the stacked members
     (``_hypotheses_hold``), exact because it takes the same IEEE
     operations on the same values.  A member it fails is checked again
     by ``check_hypotheses``, in row order, for the error and witness.
@@ -397,8 +419,8 @@ def kappa_sweep(kappas) -> list[dict]:
     Raises
     ------
     ValueError, StarphaseError
-        From the first failing row, as ``bound_X`` or
-        ``kappa_constants`` raises it, the message prefixed with
+        From the first failing row, as ``ModelSpec`` or ``bound_X``
+        raises it, the message prefixed with
         ``kappa = <repr> (row i of N): ``.
     """
     ks = [float(k) for k in kappas]
@@ -415,13 +437,13 @@ def kappa_sweep(kappas) -> list[dict]:
                 if not ok:
                     check_hypotheses(m)
                 rep = _bound_report(m)
-                kc = kappa_constants(k)
             except (StarphaseError, ValueError) as exc:
                 exc.args = (f"kappa = {k!r} (row {i} of {len(ks)}): {exc}",)
                 raise
+            _, alpha, _, D = _lambert_constants(k)
             rows.append({
                 "kappa": k, "z": rep.z, "w": rep.w,
-                "alpha": kc.alpha, "D": kc.D, "E": rep.E,
+                "alpha": alpha, "D": D, "E": rep.E,
                 "X_closed": rep.X_closed, "X_numeric": rep.X_numeric,
             })
     return rows

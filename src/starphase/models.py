@@ -71,7 +71,9 @@ class ModelSpec:
         One of the four built-in families.
     kappa : float, optional
         Equation-of-state ratio, required for ``kappa`` and restricted to
-        (0, 1]; values above 1 are untested and rejected.
+        (0, 1]; values above 1 are untested and rejected, and so are
+        values below about 2.8e-309, where beta = (1 + kappa)/(2 kappa)
+        overflows.
     scale : float, optional
         Positive rescaling sigma for ``scaled`` (default 8 pi).
     """
@@ -87,6 +89,11 @@ class ModelSpec:
                 raise ValueError("kappa family requires a kappa value")
             if not 0.0 < self.kappa <= 1.0:
                 raise ValueError(f"kappa must lie in (0, 1], got {self.kappa}")
+            k = float(self.kappa)
+            if (1.0 + k) / (2.0 * k) == math.inf:
+                raise ValueError(
+                    f"kappa = {self.kappa} is too small: beta = (1 + kappa)"
+                    " / (2 kappa) overflows")
         elif self.kappa is not None:
             raise ValueError("kappa is only meaningful for the kappa family")
         if self.family is Family.SCALED_RELATIVISTIC:

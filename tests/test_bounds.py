@@ -459,6 +459,35 @@ class TestKappaConstants:
         with pytest.raises(ValueError):
             sp.kappa_constants(1.2)
 
+    @pytest.mark.parametrize("k", [2.5e-155, 1e-162, 1e-170, 1e-200,
+                                   5e-324])
+    def test_underflow_below_kappa_2_6e_155(self, k):
+        # 8 kappa^2 underflows: delta overflowed to inf (C = -inf), and
+        # below about 1e-162 the division by 0 raised ZeroDivisionError
+        with pytest.raises(ValueError, match="8 kappa\\^2 .* underflows"):
+            sp.kappa_constants(k)
+
+    def test_smallest_finite_delta_kept(self):
+        kc = sp.kappa_constants(3e-155)
+        assert kc.delta == (5 * 3e-155 + 1.0) * (1.0 + 3e-155) ** 2 \
+            / (8.0 * 3e-155 * 3e-155)
+        assert all(math.isfinite(v) for v in kc.to_dict().values())
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(-12.0, 0.0))
+    def test_lambert_constants_are_the_published_fields(self, e):
+        # one coding of alpha, s and D: the helper's values are the
+        # fields of kappa_constants, and the sweep's columns, bit for bit
+        k = 10.0 ** e
+        kc = sp.kappa_constants(k)
+        z, alpha, s, D = bounds._lambert_constants(k)
+        assert [float.hex(v) for v in (z, alpha, s, D)] == \
+            [float.hex(v) for v in (kc.z, kc.alpha, kc.s, kc.D)]
+        if k >= 1e-4:
+            row, = kappa_sweep([k])
+            assert (float.hex(row["alpha"]), float.hex(row["D"])) == \
+                (float.hex(kc.alpha), float.hex(kc.D))
+
     def test_printed_corollary_disagrees_with_primitives_off_kappa_one(self):
         # documented misprint: the published H log-coefficient is
         # (1+k)(4k+(1+k)^3)/(2k(4k+(1+k)^2)) but integrating the model's
@@ -744,7 +773,8 @@ class TestBatchedSweep:
     error equals the one-``bound_X``-per-row oracle."""
 
     @settings(max_examples=40, deadline=None)
-    @given(n=st.integers(2, 60), ea=st.floats(-4.0, 0.0),
+    @given(n=st.integers(2, 2 * bounds.SWEEP_CHUNK + 3),
+           ea=st.floats(-4.0, 0.0),
            eb=st.floats(-4.0, 0.0),
            order=st.sampled_from(["ascending", "descending", "constant"]))
     def test_rows_equal_the_oracle(self, n, ea, eb, order):
@@ -771,8 +801,6 @@ class TestBatchedSweep:
             "kappa = 1e-06 (row 3 of 3): closed form X = ")
 
     def test_passing_sweep_checks_in_batches(self, monkeypatch):
-        ks = [0.02 + (1.0 - 0.02) * i / 39 for i in range(40)]
-        want = hex_rows(reference_kappa_sweep(ks))
         calls = {"scalar": 0, "batch": 0}
         scalar, batch = bounds.check_hypotheses, bounds._hypotheses_hold
 
@@ -786,8 +814,15 @@ class TestBatchedSweep:
 
         monkeypatch.setattr(bounds, "check_hypotheses", counting_scalar)
         monkeypatch.setattr(bounds, "_hypotheses_hold", counting_batch)
-        assert hex_rows(kappa_sweep(ks)) == want
-        assert calls == {"scalar": 0, "batch": 5}
+        # one batch for the longest bench sweep; three, the last of 3
+        # rows, just past two full chunks
+        for n in (40, 2 * bounds.SWEEP_CHUNK + 3):
+            ks = [0.02 + (1.0 - 0.02) * i / (n - 1) for i in range(n)]
+            want = hex_rows(reference_kappa_sweep(ks))
+            calls.update(scalar=0, batch=0)
+            assert hex_rows(kappa_sweep(ks)) == want
+            assert calls == {"scalar": 0,
+                             "batch": math.ceil(n / bounds.SWEEP_CHUNK)}, n
 
     def test_failing_rows_rechecked_in_order(self, monkeypatch):
         # the batch fails rows 2 and 12; the scalar check passes row 2

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -88,6 +89,18 @@ class TestBound:
                            "--kappa", "1.5")
         assert code == 3
         assert "kappa" in err
+
+    @pytest.mark.parametrize("command", ["analyze", "bound"])
+    def test_kappa_whose_beta_overflows_exit_3(self, capsys, command):
+        # NaN constants ended in "objective has no sign change" here, after
+        # a numpy RuntimeWarning; as an error, a warning fails this test
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, command, "--model", "kappa",
+                                 "--kappa", "5e-324")
+        assert (code, out) == (3, "")
+        assert err == ("error: kappa = 5e-324 is too small: "
+                       "beta = (1 + kappa) / (2 kappa) overflows\n")
 
     def test_sweep_csv(self, capsys, tmp_path):
         path = tmp_path / "sweep.csv"

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -38,6 +39,17 @@ class TestModelSpec:
     def test_kappa_out_of_range(self, kappa):
         with pytest.raises(ValueError):
             sp.ModelSpec(sp.Family.KAPPA_FAMILY, kappa=kappa)
+
+    @pytest.mark.parametrize("kappa", [2.7e-309, 1e-315, 5e-324])
+    def test_kappa_whose_beta_overflows(self, kappa):
+        # make_model built NaN constants here and numpy warned
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="beta .* overflows"):
+                sp.model("kappa", kappa=kappa)
+
+    def test_smallest_kappa_with_finite_beta_accepted(self):
+        assert sp.ModelSpec("kappa", kappa=2.8e-309).kappa == 2.8e-309
 
     def test_kappa_only_for_kappa_family(self):
         with pytest.raises(ValueError):
