@@ -77,15 +77,22 @@ def to_physical(traj: Trajectory, r_ref: float = 1.0,
     The final sample is anchored at r = r_ref (the system is scale free
     in r).  Natural units take G = c = 1; SI mode multiplies through
     user-supplied constants without touching the dimensionless x, y.
+
+    Raises ValueError unless r_ref, and in SI mode G and c, are positive
+    and finite.
     """
-    if r_ref <= 0.0:
-        raise ValueError("r_ref must be positive")
+    if not (math.isfinite(r_ref) and r_ref > 0.0):
+        raise ValueError(f"r_ref must be positive and finite, got {r_ref}")
     k_eos, s = _relativistic_ks(traj.model)
     if units == NATURAL:
         Gv, cv = 1.0, 1.0
     elif units == SI:
         Gv = G_SI if G is None else G
         cv = C_SI if c is None else c
+        for name, v in (("G", Gv), ("c", cv)):
+            if not (math.isfinite(v) and v > 0.0):
+                raise ValueError(
+                    f"{name} must be positive and finite, got {v}")
     else:
         raise ValueError(f"unknown unit system {units!r}")
     r = r_ref * np.exp(traj.t - traj.t[-1])

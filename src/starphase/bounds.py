@@ -36,9 +36,9 @@ from . import rootfind
 from .errors import (ConvergenceError, DomainError, HypothesisError,
                      StarphaseError)
 from .lambertw import BRANCH_POINT, lambert_w
-from .lyapunov import H
 from .models import (DOMAIN_GUARD, VERIFY_TOL, Family, ModelSpec, SystemModel,
-                     find_w, find_z, make_model, relativistic, w_objective)
+                     find_w, find_z, make_model, primitives, relativistic,
+                     w_objective, z_objective)
 
 #: demanded agreement between the closed form and the H inversion,
 #: relative to X; ``bound_X`` raises above it
@@ -61,10 +61,15 @@ def excess_E(m: SystemModel) -> float:
     minimum), zero only in the degenerate coincidence (a0 + 1) w = z.
     Reads the model's closed-form w; ``find_w`` verifies it.
     """
-    s = (m.a0 + 1.0) * m.w
-    if s < m.z:
-        raise HypothesisError(f"(a0+1)w = {s} < z = {m.z}")
-    return s - m.z - m.z * math.log(s / m.z)
+    return _excess(m.a0, m.w, m.z)
+
+
+def _excess(a0: float, w: float, z: float) -> float:
+    """``excess_E`` of the member with these constants."""
+    s = (a0 + 1.0) * w
+    if s < z:
+        raise HypothesisError(f"(a0+1)w = {s} < z = {z}")
+    return s - z - z * math.log(s / z)
 
 
 def invert_H(m: SystemModel, level: float) -> float:
@@ -78,21 +83,35 @@ def invert_H(m: SystemModel, level: float) -> float:
     Raises
     ------
     DomainError
-        For negative levels, or when the level is unreachable below
-        x_max (the achievable supremum estimate is reported).
+        For z outside the domain, for NaN and negative levels, or when
+        the level is unreachable below x_max (the achievable supremum
+        estimate is reported).
     """
-    if level < 0.0:
-        raise DomainError("H levels are nonnegative on [z, x_max)")
-    # every probe of the bracket walk and of brentq lies in
-    # [z, x_max - DOMAIN_GUARD), so H's domain is checked once, at z
+    _check_z_in_domain(m)
+    return _invert(m.H, m.z, m.x_max, level)
+
+
+def _check_z_in_domain(m: SystemModel) -> None:
+    """H's domain check for an inversion: every probe of the bracket walk
+    and of brentq lies in [z, x_max - DOMAIN_GUARD), so it is made once,
+    at z."""
     if not 0.0 <= m.z < m.x_max - DOMAIN_GUARD:
         m.check_x(m.z)
+
+
+def _invert(H, z: float, x_max: float, level: float) -> float:
+    """``invert_H`` on the level map H of a member whose z lies in the
+    domain [0, x_max - DOMAIN_GUARD)."""
+    if level != level:
+        raise DomainError(f"H level must be a number, got {level}")
+    if level < 0.0:
+        raise DomainError("H levels are nonnegative on [z, x_max)")
     try:
-        return rootfind.solve_bracketed(lambda x: m.H(x) - level,
-                                        m.z, m.x_max - DOMAIN_GUARD)
+        return rootfind.solve_bracketed(lambda x: H(x) - level,
+                                        z, x_max - DOMAIN_GUARD)
     except ConvergenceError:
-        sup = H(m, m.x_max - 2.0 * max(DOMAIN_GUARD, 1e-15 * m.x_max)) \
-            if math.isfinite(m.x_max) else math.inf
+        sup = H(x_max - 2.0 * max(DOMAIN_GUARD, 1e-15 * x_max)) \
+            if math.isfinite(x_max) else math.inf
         raise DomainError(
             f"level {level} unreachable below x_max (sup H ~ {sup})") from None
 
@@ -113,12 +132,24 @@ def closed_form_X(m: SystemModel) -> float:
       At (1, 1) the Lambert argument is STIFF_LAMBERT_ARG and
       X = 1 + W0(-2^(1/3) e^(-4/3)) / 2.
     """
-    E = excess_E(m)
+    return _closed_form(m.z, m.x_max, _lambert_P(m), excess_E(m))
+
+
+def _lambert_P(m: SystemModel) -> float | None:
+    """P = 2 + beta of a relativistic model, None for b = 0."""
     if m.b_is_zero:
-        return m.z + math.sqrt(2.0 * E)
+        return None
     k, _ = m.spec.ks
-    Q = (2.0 + (1.0 + k) / (2.0 * k)) * (m.x_max - m.z)
-    return m.x_max + (m.x_max - m.z) * lambert_w(-math.exp(-1.0 - E / Q))
+    return 2.0 + (1.0 + k) / (2.0 * k)
+
+
+def _closed_form(z: float, x_max: float, P: float | None, E: float) -> float:
+    """``closed_form_X`` of the member with these constants and excess E;
+    P is None for the b = 0 family."""
+    if P is None:
+        return z + math.sqrt(2.0 * E)
+    Q = P * (x_max - z)
+    return x_max + (x_max - z) * lambert_w(-math.exp(-1.0 - E / Q))
 
 
 def _linspace(start: float, stop: float, num: int) -> np.ndarray:
@@ -168,13 +199,16 @@ def check_hypotheses(m: SystemModel, n: int = 200) -> None:
     its ordering, the tangent-line inequality below w, and the isocline
     slope condition on the rectangle [w, z] x [z, (a0+1) w].
 
-    Raises HypothesisError naming the failing condition and a witness.
+    Raises HypothesisError naming the failing condition and a witness,
+    and ValueError for n below 1.
 
     ``kappa_sweep`` evaluates the same samples for up to SWEEP_CHUNK
     (64) members at once (``_hypotheses_hold``): the same elementwise
     IEEE operations on the same values, so its verdict is this check's, bit
     for bit; only a member it fails comes back here for the message.
     """
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     if m.a0 <= 0.0:
         raise HypothesisError(f"a(0) = {m.a0} is not positive")
     w = find_w(m)  # also enforces (a0+1)w > z >= w > 0
@@ -188,7 +222,10 @@ def check_hypotheses(m: SystemModel, n: int = 200) -> None:
     # the r sample spans [0, hi], so its domain check is the one at hi
     if not 0.0 <= hi < m.x_max - DOMAIN_GUARD:
         m.check_x(xs)
-    rs = np.asarray(m.r(xs), dtype=float)
+    # r = c/(1 - s x) overflows to +inf, which passes, when c is near the
+    # float maximum (kappa below about 1e-307)
+    with np.errstate(over="ignore"):
+        rs = np.asarray(m.r(xs), dtype=float)
     if (rs < -1e-12).any():
         i = int(np.argmin(rs))
         raise HypothesisError(f"r < 0 at x = {xs[i]}", point=(float(xs[i]),))
@@ -231,6 +268,19 @@ def _slope_condition(m, x, y):
         - np.asarray(m.b_prime(x), dtype=float) * y
 
 
+#: a closed-form constant v is verified on the band v * _BAND
+#: (``models._verified``)
+_BAND = np.array([1.0 - VERIFY_TOL, 1.0 + VERIFY_TOL])
+
+
+def _changes_sign(g) -> np.ndarray:
+    """Column (R, 1): whether each row of objective values g (R, 2) on
+    the band changes sign, as ``models._verified`` decides it (min <= 0
+    <= max is its test, a zero counting and NaN failing)."""
+    return ((g.min(axis=-1, keepdims=True) <= 0.0)
+            & (g.max(axis=-1, keepdims=True) >= 0.0))
+
+
 def _hypotheses_hold(p, n: int = 200) -> np.ndarray:
     """Verdicts of ``check_hypotheses(m, n)`` for a stack of R members:
     element i is True exactly when the check passes for member i.
@@ -246,11 +296,8 @@ def _hypotheses_hold(p, n: int = 200) -> np.ndarray:
     """
     a0, z, w = p.a0, p.z, p.w
     top = (a0 + 1.0) * w
-    # find_w: its objective changes sign on the VERIFY_TOL band (min <= 0
-    # <= max is the same test, NaN failing it), and w is ordered
-    g = w_objective(p, w * np.array([1.0 - VERIFY_TOL, 1.0 + VERIFY_TOL]))
-    ok = ((a0 > 0.0) & (g.min(axis=-1, keepdims=True) <= 0.0)
-          & (g.max(axis=-1, keepdims=True) >= 0.0)
+    # find_w: its objective changes sign on the band, and w is ordered
+    ok = ((a0 > 0.0) & _changes_sign(w_objective(p, w * _BAND))
           & (top > z) & (z >= w - 1e-15) & (w > 0.0))
 
     # b and r signs, and the domain check of the r sample
@@ -307,16 +354,29 @@ def _bound_report(m: SystemModel) -> BoundReport:
     """``bound_X`` of a model whose hypotheses are checked."""
     z = find_z(m)
     E = excess_E(m)
-    X_num = invert_H(m, E)
-    X_cl = closed_form_X(m)
+    _check_z_in_domain(m)
+    X_num, X_cl, agr = _bound(m.H, z, m.x_max, _lambert_P(m), E)
+    return BoundReport(family=m.family.value, z=z, w=m.w, E=E,
+                       X_numeric=X_num, X_closed=X_cl, agreement=agr)
+
+
+def _bound(H, z: float, x_max: float, P: float | None,
+           E: float) -> tuple[float, float, float]:
+    """X_numeric, X_closed and their absolute agreement for the member
+    with level map H, verified z in the domain, x_max, P = 2 + beta
+    (None for b = 0) and excess E: the one bound computation of
+    ``bound_X`` and of ``kappa_sweep``'s rows.  Raises
+    ``ConvergenceError`` if the agreement exceeds
+    ``CLOSED_FORM_TOL * X_numeric``."""
+    X_num = _invert(H, z, x_max, E)
+    X_cl = _closed_form(z, x_max, P, E)
     agr = abs(X_num - X_cl)
     if agr > CLOSED_FORM_TOL * X_num:
         raise ConvergenceError(
             f"closed form X = {X_cl!r} and H inversion X = {X_num!r} differ "
             f"by {agr / X_num:.3g} relative, above CLOSED_FORM_TOL = "
             f"{CLOSED_FORM_TOL:g}")
-    return BoundReport(family=m.family.value, z=z, w=m.w, E=E,
-                       X_numeric=X_num, X_closed=X_cl, agreement=agr)
+    return X_num, X_cl, agr
 
 
 @dataclass(frozen=True)
@@ -408,13 +468,19 @@ def kappa_sweep(kappas) -> list[dict]:
     ``X_closed`` is the primitive-consistent closed form (equal to
     ``X_numeric`` to round-off).
 
-    The hypotheses are checked SWEEP_CHUNK (64) rows at a time, a
-    shorter sweep in one batch: one array evaluation of
-    ``check_hypotheses``'s samples for the stacked members
-    (``_hypotheses_hold``), exact because it takes the same IEEE
-    operations on the same values.  A member it fails is checked again
-    by ``check_hypotheses``, in row order, for the error and witness.
-    The bound itself is computed row by row, as ``bound_X`` does it.
+    The rows are taken SWEEP_CHUNK (64) at a time, a shorter sweep in one
+    batch: ``models.relativistic`` writes the constants of the stacked
+    members as columns, ``_hypotheses_hold`` evaluates
+    ``check_hypotheses``'s samples on them, and z's sign test
+    (``find_z``) runs on the z column; each is exact because it takes
+    the same IEEE operations on the same values.  A row whose kappa lies
+    in (0, 1] and that passes both takes its bound from its own column
+    entries: its excess E, its level map (``models.primitives``) and
+    ``_bound``, the computation of ``bound_X``, so the row equals
+    ``bound_X``'s report bit for bit, with no ``ModelSpec`` or
+    ``SystemModel`` built.  Every other row takes the scalar path in row
+    order (``make_model``, ``check_hypotheses``, ``bound_X``'s report)
+    for the error and witness.
 
     Raises
     ------
@@ -426,25 +492,35 @@ def kappa_sweep(kappas) -> list[dict]:
     ks = [float(k) for k in kappas]
     rows = []
     for start in range(0, len(ks), SWEEP_CHUNK):
-        chunk = ks[start:start + SWEEP_CHUNK]
-        # a kappa outside (0, 1] is refused by ModelSpec in its turn
+        chunk = np.array(ks[start:start + SWEEP_CHUNK])
         with np.errstate(all="ignore"):
-            holds = _hypotheses_hold(
-                relativistic(np.array(chunk)[:, None], 1.0)).tolist()
-        for i, (k, ok) in enumerate(zip(chunk, holds), start + 1):
+            rel = relativistic(chunk[:, None], 1.0)
+            # ModelSpec's range; a kappa outside it is refused by the
+            # scalar path in its turn
+            fast = ((chunk > 0.0) & (chunk <= 1.0) & _hypotheses_hold(rel)
+                    & _changes_sign(z_objective(rel, rel.z * _BAND))[:, 0])
+        columns = zip(*[v[:, 0].tolist() for v in
+                        (rel.z, rel.w, rel.a0, rel.P, rel.beta, rel.gamma)])
+        for i, (k, ok, (z, w, a0, P, beta, gamma)) in enumerate(
+                zip(chunk.tolist(), fast.tolist(), columns), start + 1):
             try:
-                m = make_model(ModelSpec(Family.KAPPA_FAMILY, kappa=k))
-                if not ok:
+                if ok:
+                    E = _excess(a0, w, z)
+                    H = primitives(1.0, z, P, beta, gamma).H
+                    X_num, X_cl, _ = _bound(H, z, rel.x_max, P, E)
+                else:
+                    m = make_model(ModelSpec(Family.KAPPA_FAMILY, kappa=k))
                     check_hypotheses(m)
-                rep = _bound_report(m)
+                    rep = _bound_report(m)
+                    z, w, E = rep.z, rep.w, rep.E
+                    X_num, X_cl = rep.X_numeric, rep.X_closed
             except (StarphaseError, ValueError) as exc:
                 exc.args = (f"kappa = {k!r} (row {i} of {len(ks)}): {exc}",)
                 raise
             _, alpha, _, D = _lambert_constants(k)
             rows.append({
-                "kappa": k, "z": rep.z, "w": rep.w,
-                "alpha": alpha, "D": D, "E": rep.E,
-                "X_closed": rep.X_closed, "X_numeric": rep.X_numeric,
+                "kappa": k, "z": z, "w": w, "alpha": alpha, "D": D, "E": E,
+                "X_closed": X_cl, "X_numeric": X_num,
             })
     return rows
 

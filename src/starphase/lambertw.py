@@ -7,8 +7,11 @@ round-trip w e^w reproduces the argument to 1e-14 relative.
 
 Branches
 --------
-* principal (0): defined for arg >= -1/e, returns w >= -1
+* principal (0): defined for arg >= -1/e, returns w >= -1, and
+  W0(+inf) = +inf
 * lower (-1):    defined for -1/e <= arg < 0, returns w <= -1
+
+A NaN argument raises DomainError on either branch.
 """
 
 from __future__ import annotations
@@ -103,14 +106,18 @@ def _seed(arg: float, branch: int) -> float:
 def lambert_w(arg: float, branch: int = 0) -> float:
     """Real Lambert W of ``arg`` on the requested branch (0 or -1).
 
+    W0(+inf) is +inf, the limit of the principal branch.
+
     Raises
     ------
     DomainError
-        If ``arg`` lies outside the branch's domain.
+        If ``arg`` is NaN or lies outside the branch's domain.
     """
     if branch not in (0, -1):
         raise ValueError(f"branch must be 0 or -1, got {branch}")
     arg = float(arg)
+    if arg != arg:
+        raise DomainError("Lambert W argument must be a number, got nan")
     if arg < BRANCH_POINT:
         raise DomainError(f"argument {arg} below the branch point -1/e")
     if branch == -1 and arg >= 0.0:
@@ -119,6 +126,8 @@ def lambert_w(arg: float, branch: int = 0) -> float:
         return -1.0
     if arg == 0.0:
         return 0.0
+    if arg == math.inf:
+        return math.inf
     w = _halley(arg, _seed(arg, branch))
     if w is not None and (w < -1.0 - 1e-6 if branch == 0 else w > -1.0 + 1e-6):
         w = None  # iteration slid onto the other branch: discard

@@ -28,7 +28,10 @@ planar field ``field(x, y)``, which takes 1 - s x once and returns
 ``(y - x, a(x)*y - b(x)*y*y)`` bit for bit.  All coefficient callables
 accept scalars or numpy arrays.  ``relativistic(k, s)`` writes the
 relativistic constants and a, b, a', b', r once, for one member or for
-a column of members (the batched sweep of ``starphase.bounds``).
+a column of members (the batched sweep of ``starphase.bounds``);
+``primitives`` writes A, B and H from a member's constants, for
+``relativistic`` and for the sweep's rows, which take their constants
+from the batch's columns and build no ``SystemModel``.
 ``find_z``, ``find_w`` and ``find_x0`` return the closed forms after a
 sign test of their objective on the band v (1 -+ VERIFY_TOL); no root is
 solved here.
@@ -203,13 +206,45 @@ def _float_square(v):
 #: constants and coefficient callables of a relativistic member; see
 #: ``relativistic``
 Relativistic = collections.namedtuple(
-    "Relativistic", "beta gamma P c gs x_max z w x0 a0 a b a_prime b_prime r")
+    "Relativistic",
+    "beta gamma P c gs x_max z w x0 a0 a b a_prime b_prime r A B H")
+
+#: the shifted primitives and the level map of a relativistic member; see
+#: ``primitives``
+Primitives = collections.namedtuple("Primitives", "A B H")
+
+
+def primitives(s, z, P, beta, gamma) -> Primitives:
+    """A, B and H = z B - A of the relativistic member with these
+    constants (as ``relativistic`` writes them), floats or columns.
+
+    A(x) = P x + beta log1p(-s x)/s and B(x) = -gamma log1p(-s x), each
+    shifted by its own float value at z, so A(z) = B(z) = 0 exactly.  H
+    takes the logarithm once and returns ``z*B(x) - A(x)`` bit for bit;
+    on a Python float it converts the logarithm to a float first, so the
+    rest of its arithmetic runs on Python floats (the same IEEE
+    operations, with no numpy scalar overhead).
+    """
+    L_z = np.log1p(-s * z)
+    if np.ndim(L_z) == 0:
+        L_z = float(L_z)
+    A_z, B_z = P * z + beta * L_z / s, -gamma * L_z
+    A = lambda x: P * x + beta * np.log1p(-s * x) / s - A_z
+    B = lambda x: -gamma * np.log1p(-s * x) - B_z
+
+    def H(x):
+        L = np.log1p(-s * x)
+        if isinstance(x, float):
+            L = float(L)
+        return z * (-gamma * L - B_z) - (P * x + beta * L / s - A_z)
+
+    return Primitives(A, B, H)
 
 
 def relativistic(k, s) -> Relativistic:
     """The member (k, s) of a(x) = 2 - beta s x/(1 - s x),
-    b(x) = gamma s/(1 - s x): its constants, and a, b, a', b' and the
-    closed-form r = c/(1 - s x).
+    b(x) = gamma s/(1 - s x): its constants, a, b, a', b', the
+    closed-form r = c/(1 - s x), and A, B and H (``primitives``).
 
     k and s are floats, or arrays that broadcast: a column (R, 1) of k
     stacks R members, whose callables map samples of shape (n,) or (R, n)
@@ -232,7 +267,8 @@ def relativistic(k, s) -> Relativistic:
     w = 4.0 * k / (3.0 * k * k + 8.0 * k + 1.0) / s
     x0 = 4.0 * k / (1.0 + 5.0 * k) / s
     return Relativistic(beta, gamma, P, c, gs, 1.0 / s, z, w, x0, a(0.0),
-                        a, b, a_prime, b_prime, r)
+                        a, b, a_prime, b_prime, r,
+                        *primitives(s, z, P, beta, gamma))
 
 
 def make_model(spec: ModelSpec) -> SystemModel:
@@ -261,21 +297,11 @@ def make_model(spec: ModelSpec) -> SystemModel:
     else:
         k, s = spec.ks
         rel = relativistic(k, s)
-        beta, gamma, P, c, gs = rel.beta, rel.gamma, rel.P, rel.c, rel.gs
+        c, gs = rel.c, rel.gs
         z, w, x0, x_max = rel.z, rel.w, rel.x0, rel.x_max
         a, b, r = rel.a, rel.b, rel.r
         a_prime, b_prime = rel.a_prime, rel.b_prime
-        # the primitives are shifted by their own float value at z, so
-        # A(z) = B(z) = 0 exactly
-        L_z = np.log1p(-s * z)
-        A_z, B_z = float(P * z + beta * L_z / s), float(-gamma * L_z)
-        A = lambda x: P * x + beta * np.log1p(-s * x) / s - A_z
-        B = lambda x: -gamma * np.log1p(-s * x) - B_z
-
-        def H(x):
-            # z * B(x) - A(x) with the logarithm taken once
-            L = np.log1p(-s * x)
-            return z * (-gamma * L - B_z) - (P * x + beta * L / s - A_z)
+        A, B, H = rel.A, rel.B, rel.H
 
         def field(x, y):
             # (y - x, a(x)*y - b(x)*y*y) with 1 - s x taken once
@@ -320,12 +346,18 @@ def _verified(name: str, value: float, g) -> float:
     return value
 
 
+def z_objective(m, x):
+    """a(x) - x b(x), which vanishes at x = z; ``m`` is a model or a
+    ``Relativistic`` stack."""
+    return m.a(x) - x * m.b(x)
+
+
 def find_z(m: SystemModel) -> float:
     """Interior stationary abscissa: the positive root of a(z) = z b(z).
 
-    The closed form is verified by a sign test of a(x) - x b(x).
+    The closed form is verified by a sign test of ``z_objective``.
     """
-    return _verified("z", m.z, lambda x: m.a(x) - x * m.b(x))
+    return _verified("z", m.z, functools.partial(z_objective, m))
 
 
 def w_objective(m, x):

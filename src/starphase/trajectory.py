@@ -256,7 +256,14 @@ class TrapRegionReport:
 
 def check_trap_region(m: SystemModel, n: int = 1000,
                       tol: float = 1e-9) -> TrapRegionReport:
-    """Sample the three geometric facts behind the trap-region argument."""
+    """Sample the three geometric facts behind the trap-region argument.
+
+    Raises ValueError for n below 1 or a NaN ``tol``.
+    """
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
+    if tol != tol:
+        raise ValueError("tol must be a number, got nan")
     w = find_w(m)
     slope = m.a0 + 1.0
     violation = None

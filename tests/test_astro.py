@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import starphase as sp
-from starphase.astro import G_SI, TableRow, mass_radius_table, to_physical
+from starphase.astro import (G_SI, SI, TableRow, mass_radius_table,
+                            to_physical)
 from starphase.trajectory import Trajectory
 
 
@@ -105,6 +106,20 @@ class TestToPhysical:
     def test_bad_r_ref(self, trajectories):
         with pytest.raises(ValueError):
             to_physical(trajectories["stiff"], r_ref=0.0)
+
+    @pytest.mark.parametrize("r_ref", [math.nan, math.inf, -math.inf])
+    def test_non_finite_r_ref(self, trajectories, r_ref):
+        with pytest.raises(ValueError, match="r_ref must be positive and "
+                                             "finite"):
+            to_physical(trajectories["stiff"], r_ref=r_ref)
+
+    @pytest.mark.parametrize("name", ["G", "c"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_si_constant(self, trajectories, name, value):
+        # G = 0 divided by zero (a numpy warning, then inf), NaN gave NaN
+        with pytest.raises(ValueError, match=f"{name} must be positive and "
+                                             "finite"):
+            to_physical(trajectories["stiff"], units=SI, **{name: value})
 
     def test_bad_units(self, trajectories):
         with pytest.raises(ValueError):

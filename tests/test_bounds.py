@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import math
+import warnings
 from types import SimpleNamespace
 
 import mpmath
@@ -14,7 +15,7 @@ import starphase as sp
 from starphase import bounds, lyapunov, rootfind
 from starphase.bounds import (STIFF_LAMBERT_ARG, check_hypotheses,
                               closed_form_X, kappa_sweep, sweep_to_csv)
-from starphase.models import DOMAIN_GUARD, SystemModel
+from starphase.models import DOMAIN_GUARD, ModelSpec, SystemModel
 
 from conftest import count_root_solves, drawn_models
 from reference_models import (reference_check_hypotheses,
@@ -297,7 +298,9 @@ class TestInvertH:
             calls[0] += 1
             return original(m, x)
 
-        for module in (lyapunov, bounds, sp):
+        # bounds reads m.H only; it does not import lyapunov's H
+        assert not hasattr(bounds, "H")
+        for module in (lyapunov, sp):
             monkeypatch.setattr(module, "H", counting)
         rep = sp.bound_X(each_model)
         assert calls[0] == 0
@@ -309,6 +312,12 @@ class TestInvertH:
         with pytest.raises(sp.DomainError, match="x outside"):
             sp.invert_H(bad, 0.1)
         assert_matches_reference(bad)
+
+    def test_nan_level_rejected(self, models):
+        # it passed the sign check and failed inside brentq on a NaN value
+        with pytest.raises(sp.DomainError, match="H level must be a number, "
+                                                 "got nan"):
+            sp.invert_H(models["stiff"], math.nan)
 
     def test_negative_level_rejected(self, models):
         with pytest.raises(sp.DomainError):
@@ -527,6 +536,23 @@ class TestHypotheses:
         x, y = err.value.point
         assert base.w <= x <= base.z
         assert base.z <= y <= 3.0 * base.w
+
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_n_below_one_rejected(self, models, n):
+        # n = 0 divided by zero; n = -3 passed on empty samples
+        with pytest.raises(ValueError, match=f"n must be at least 1, got {n}"):
+            check_hypotheses(models["stiff"], n)
+
+    def test_no_warning_where_r_overflows(self):
+        # c = (2 + beta) s is near the float maximum, so r = c/(1 - s x)
+        # overflows to +inf on the sample (a pass), once with a numpy
+        # RuntimeWarning
+        m = sp.model("kappa", kappa=1e-308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            check_hypotheses(m)
+        assert m.r(0.95) == math.inf
 
 
 class TestHypothesesMatchReference:
@@ -801,28 +827,36 @@ class TestBatchedSweep:
             "kappa = 1e-06 (row 3 of 3): closed form X = ")
 
     def test_passing_sweep_checks_in_batches(self, monkeypatch):
-        calls = {"scalar": 0, "batch": 0}
+        # a passing row takes its bound from the batch's columns: it
+        # builds no ModelSpec or SystemModel
+        calls = {"scalar": 0, "batch": 0, "spec": 0, "model": 0}
         scalar, batch = bounds.check_hypotheses, bounds._hypotheses_hold
+        post_init, init = ModelSpec.__post_init__, SystemModel.__init__
 
-        def counting_scalar(*args, **kwargs):
-            calls["scalar"] += 1
-            return scalar(*args, **kwargs)
+        def counting(key, fn):
+            def wrapped(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapped
 
-        def counting_batch(*args, **kwargs):
-            calls["batch"] += 1
-            return batch(*args, **kwargs)
-
-        monkeypatch.setattr(bounds, "check_hypotheses", counting_scalar)
-        monkeypatch.setattr(bounds, "_hypotheses_hold", counting_batch)
+        monkeypatch.setattr(bounds, "check_hypotheses",
+                            counting("scalar", scalar))
+        monkeypatch.setattr(bounds, "_hypotheses_hold",
+                            counting("batch", batch))
+        monkeypatch.setattr(ModelSpec, "__post_init__",
+                            counting("spec", post_init))
+        monkeypatch.setattr(SystemModel, "__init__", counting("model", init))
         # one batch for the longest bench sweep; three, the last of 3
         # rows, just past two full chunks
         for n in (40, 2 * bounds.SWEEP_CHUNK + 3):
             ks = [0.02 + (1.0 - 0.02) * i / (n - 1) for i in range(n)]
             want = hex_rows(reference_kappa_sweep(ks))
-            calls.update(scalar=0, batch=0)
+            assert calls["model"] >= n  # the oracle builds one per row
+            calls.update(scalar=0, batch=0, spec=0, model=0)
             assert hex_rows(kappa_sweep(ks)) == want
             assert calls == {"scalar": 0,
-                             "batch": math.ceil(n / bounds.SWEEP_CHUNK)}, n
+                             "batch": math.ceil(n / bounds.SWEEP_CHUNK),
+                             "spec": 0, "model": 0}, n
 
     def test_failing_rows_rechecked_in_order(self, monkeypatch):
         # the batch fails rows 2 and 12; the scalar check passes row 2

@@ -102,6 +102,21 @@ class TestBound:
         assert err == ("error: kappa = 5e-324 is too small: "
                        "beta = (1 + kappa) / (2 kappa) overflows\n")
 
+    @pytest.mark.parametrize("argv", [["--kappa", "1e-308"],
+                                      ["--sweep-kappa", "1e-308:1e-307:3"]])
+    def test_kappa_whose_r_overflows_has_only_the_error(self, capsys, argv):
+        # r = c/(1 - s x) of the hypotheses' r sample overflows to +inf
+        # here, with a numpy RuntimeWarning on stderr before the error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "bound", "--model", "kappa", *argv)
+        assert (code, out) == (4, "")
+        prefix = "kappa = 1e-308 (row 1 of 3): " if "--sweep-kappa" in argv \
+            else ""
+        assert err == (f"error: {prefix}closed form X = 0.0 and H inversion "
+                       "X = 3.9999999999999996e-308 differ by 1 relative, "
+                       "above CLOSED_FORM_TOL = 1e-09\n")
+
     def test_sweep_csv(self, capsys, tmp_path):
         path = tmp_path / "sweep.csv"
         code, _, _ = run(capsys, "bound", "--model", "kappa",

@@ -77,6 +77,16 @@ class TestDomain:
         with pytest.raises(sp.DomainError):
             sp.lambert_w(0.5, -1)
 
+    @pytest.mark.parametrize("branch", [0, -1])
+    def test_nan_rejected(self, branch):
+        with pytest.raises(sp.DomainError, match="got nan"):
+            sp.lambert_w(math.nan, branch)
+
+    def test_w0_of_inf_is_inf(self):
+        assert sp.lambert_w(math.inf) == math.inf
+        with pytest.raises(sp.DomainError):
+            sp.lambert_w(math.inf, -1)
+
     def test_bad_branch(self):
         with pytest.raises(ValueError):
             sp.lambert_w(0.5, branch=1)

@@ -396,6 +396,25 @@ class TestLevelMap:
                                                  min_size=0, max_size=60)))
         assert same_bits(m.H(xs), m.z * m.B(xs) - m.A(xs))
 
+    @settings(max_examples=200, deadline=None)
+    @given(e=st.floats(-12.0, 0.0),
+           fracs=st.lists(st.floats(0.0, 1.0, exclude_max=True),
+                          min_size=1, max_size=20))
+    def test_float_equals_array_and_column(self, e, fracs):
+        # a Python float takes H's float path; an array, and row 0 of the
+        # one-member column that kappa_sweep's rows share, the numpy path
+        k = 10.0 ** e
+        m = sp.model("kappa", kappa=k)
+        top = m.x_max - models_mod.DOMAIN_GUARD
+        xs = [min(m.z + f * (top - m.z), math.nextafter(top, 0.0))
+              for f in fracs]
+        column = models_mod.relativistic(np.array([[k]]), 1.0)
+        got = [m.H(x) for x in xs]
+        assert all(type(h) is float for h in got)
+        assert [h.hex() for h in got] == \
+            [h.hex() for h in m.H(np.array(xs)).tolist()] == \
+            [h.hex() for h in column.H(np.array(xs)).ravel().tolist()]
+
     def test_positive_zero_at_z(self, each_model):
         for x in (each_model.z, np.array([each_model.z])):
             h = np.asarray(each_model.H(x))

@@ -275,6 +275,17 @@ class TestTrapRegion:
             assert sp.check_trap_region(models[name]).passed, name
             assert calls[0] == 0, name
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_n_below_one_rejected(self, models, n):
+        # n = 0 divided by zero, a negative n sampled nothing
+        with pytest.raises(ValueError, match=f"n must be at least 1, got {n}"):
+            sp.check_trap_region(models["stiff"], n)
+
+    def test_nan_tol_rejected(self, models):
+        # every margin test against NaN failed: a silent passed=False
+        with pytest.raises(ValueError, match="tol must be a number"):
+            sp.check_trap_region(models["stiff"], tol=math.nan)
+
     def test_diagonal_stationary_at_z(self, each_model):
         dx, dy = sp.eval_field(each_model, each_model.z, each_model.z)
         assert dx == 0.0
