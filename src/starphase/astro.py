@@ -78,8 +78,8 @@ def to_physical(traj: Trajectory, r_ref: float = 1.0,
     in r).  Natural units take G = c = 1; SI mode multiplies through
     user-supplied constants without touching the dimensionless x, y.
 
-    Raises ValueError unless r_ref, and in SI mode G and c, are positive
-    and finite.
+    Raises ValueError unless r_ref, and a supplied G or c (which natural
+    units then ignore), are positive and finite.
     """
     if not (math.isfinite(r_ref) and r_ref > 0.0):
         raise ValueError(f"r_ref must be positive and finite, got {r_ref}")
@@ -89,12 +89,11 @@ def to_physical(traj: Trajectory, r_ref: float = 1.0,
     elif units == SI:
         Gv = G_SI if G is None else G
         cv = C_SI if c is None else c
-        for name, v in (("G", Gv), ("c", cv)):
-            if not (math.isfinite(v) and v > 0.0):
-                raise ValueError(
-                    f"{name} must be positive and finite, got {v}")
     else:
         raise ValueError(f"unknown unit system {units!r}")
+    for name, v in (("G", G), ("c", c)):
+        if v is not None and not (math.isfinite(v) and v > 0.0):
+            raise ValueError(f"{name} must be positive and finite, got {v}")
     r = r_ref * np.exp(traj.t - traj.t[-1])
     compactness = s * traj.x
     mass = r * cv ** 2 * compactness / (2.0 * Gv)

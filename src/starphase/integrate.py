@@ -95,6 +95,17 @@ def integrate_adaptive(field, t0: float, y0, max_time: float, *,
     (Gustafsson-style), rejected steps fall back to the plain integral
     controller.
     """
+    # the tableau and the controller constants as locals, which the step
+    # loop reads faster than module globals
+    a21, a31, a32 = _A21, _A31, _A32
+    a41, a42, a43 = _A41, _A42, _A43
+    a51, a52, a53, a54 = _A51, _A52, _A53, _A54
+    a61, a62, a63, a64, a65 = _A61, _A62, _A63, _A64, _A65
+    b1, b3, b4, b5, b6 = _B1, _B3, _B4, _B5, _B6
+    e1, e3, e4, e5, e6, e7 = _E1, _E3, _E4, _E5, _E6, _E7
+    safety, min_factor, max_factor = _SAFETY, _MIN_FACTOR, _MAX_FACTOR
+    ki, kp, kr = -_KI, _KP, -1.0 / _ORDER
+
     t = float(t0)
     x, y = map(float, y0)
     nfev = 1
@@ -137,28 +148,28 @@ def integrate_adaptive(field, t0: float, y0, max_time: float, *,
 
         try:
             nfev += 1
-            k1x, k1y = field(x + h * (_A21 * k0x),
-                             y + h * (_A21 * k0y))
+            k1x, k1y = field(x + h * (a21 * k0x),
+                             y + h * (a21 * k0y))
             nfev += 1
-            k2x, k2y = field(x + h * (_A31 * k0x + _A32 * k1x),
-                             y + h * (_A31 * k0y + _A32 * k1y))
+            k2x, k2y = field(x + h * (a31 * k0x + a32 * k1x),
+                             y + h * (a31 * k0y + a32 * k1y))
             nfev += 1
-            k3x, k3y = field(x + h * (_A41 * k0x + _A42 * k1x + _A43 * k2x),
-                             y + h * (_A41 * k0y + _A42 * k1y + _A43 * k2y))
+            k3x, k3y = field(x + h * (a41 * k0x + a42 * k1x + a43 * k2x),
+                             y + h * (a41 * k0y + a42 * k1y + a43 * k2y))
             nfev += 1
-            k4x, k4y = field(x + h * (_A51 * k0x + _A52 * k1x + _A53 * k2x
-                                      + _A54 * k3x),
-                             y + h * (_A51 * k0y + _A52 * k1y + _A53 * k2y
-                                      + _A54 * k3y))
+            k4x, k4y = field(x + h * (a51 * k0x + a52 * k1x + a53 * k2x
+                                      + a54 * k3x),
+                             y + h * (a51 * k0y + a52 * k1y + a53 * k2y
+                                      + a54 * k3y))
             nfev += 1
-            k5x, k5y = field(x + h * (_A61 * k0x + _A62 * k1x + _A63 * k2x
-                                      + _A64 * k3x + _A65 * k4x),
-                             y + h * (_A61 * k0y + _A62 * k1y + _A63 * k2y
-                                      + _A64 * k3y + _A65 * k4y))
-            xn = x + h * (_B1 * k0x + _B3 * k2x + _B4 * k3x + _B5 * k4x
-                          + _B6 * k5x)
-            yn = y + h * (_B1 * k0y + _B3 * k2y + _B4 * k3y + _B5 * k4y
-                          + _B6 * k5y)
+            k5x, k5y = field(x + h * (a61 * k0x + a62 * k1x + a63 * k2x
+                                      + a64 * k3x + a65 * k4x),
+                             y + h * (a61 * k0y + a62 * k1y + a63 * k2y
+                                      + a64 * k3y + a65 * k4y))
+            xn = x + h * (b1 * k0x + b3 * k2x + b4 * k3x + b5 * k4x
+                          + b6 * k5x)
+            yn = y + h * (b1 * k0y + b3 * k2y + b4 * k3y + b5 * k4y
+                          + b6 * k5y)
             nfev += 1
             k6x, k6y = field(xn, yn)
         except DomainError:
@@ -170,10 +181,10 @@ def integrate_adaptive(field, t0: float, y0, max_time: float, *,
         # or a NaN is lost in atol + rtol * |.| or in a rejected err
         axn = xn if xn >= 0.0 else -xn
         ayn = yn if yn >= 0.0 else -yn
-        rx = (h * (_E1 * k0x + _E3 * k2x + _E4 * k3x + _E5 * k4x + _E6 * k5x
-                   + _E7 * k6x) / (atol + rtol * (axn if axn > ax else ax)))
-        ry = (h * (_E1 * k0y + _E3 * k2y + _E4 * k3y + _E5 * k4y + _E6 * k5y
-                   + _E7 * k6y) / (atol + rtol * (ayn if ayn > ay else ay)))
+        rx = (h * (e1 * k0x + e3 * k2x + e4 * k3x + e5 * k4x + e6 * k5x
+                   + e7 * k6x) / (atol + rtol * (axn if axn > ax else ax)))
+        ry = (h * (e1 * k0y + e3 * k2y + e4 * k3y + e5 * k4y + e6 * k5y
+                   + e7 * k6y) / (atol + rtol * (ayn if ayn > ay else ay)))
         sq = rx * rx + ry * ry
         err = math.sqrt(sq / 2)
 
@@ -192,19 +203,19 @@ def integrate_adaptive(field, t0: float, y0, max_time: float, *,
                 status = STOPPED
                 break
             if err == 0.0:
-                h *= _MAX_FACTOR
+                h *= max_factor
             else:
                 # finite, since 0 < err <= 1 and 1e-10 <= err_prev <= 1
-                factor = _SAFETY * err ** (-_KI) * err_prev ** _KP
-                h *= (_MIN_FACTOR if factor < _MIN_FACTOR else
-                      _MAX_FACTOR if factor > _MAX_FACTOR else factor)
+                factor = safety * err ** ki * err_prev ** kp
+                h *= (min_factor if factor < min_factor else
+                      max_factor if factor > max_factor else factor)
             err_prev = 1e-10 if 1e-10 > err else err
         else:
             rejected += 1
             # err > 1 or NaN, so the factor is below 0.9 or NaN and the
             # former cap at 1 never bound
-            factor = _SAFETY * err ** (-1.0 / _ORDER)
-            h *= factor if factor > _MIN_FACTOR else _MIN_FACTOR
+            factor = safety * err ** kr
+            h *= factor if factor > min_factor else min_factor
 
     return OdeSolution(t=np.array(ts), y=np.column_stack((xs, ys)),
                        f=np.column_stack((fxs, fys)).astype(float, copy=False),

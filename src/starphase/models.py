@@ -24,11 +24,14 @@ r(x) = (z b(x) - a(x))/(x - z), which is c/(1 - s x) with c = (2 + beta) s
 (1 for ``nonrel``) and so has no singularity at z; the level map
 H(x) = z B(x) - A(x), evaluated as one expression that takes
 log1p(-s x) once and returns ``z*B(x) - A(x)`` bit for bit; and the
-planar field ``field(x, y)``, which takes 1 - s x once and returns
-``(y - x, a(x)*y - b(x)*y*y)`` bit for bit.  All coefficient callables
-accept scalars or numpy arrays.  ``relativistic(k, s)`` writes the
-relativistic constants and a, b, a', b', r once, for one member or for
-a column of members (the batched sweep of ``starphase.bounds``);
+planar field ``field(x, y)`` of the heteroclinic shoot, which takes
+1 - s x once and returns ``(y - x, a(x)*y - b(x)*y*y)`` bit for bit.
+The field is float-only and raises ``DomainError`` outside the shoot's
+box 0 <= x < x_max - max(DOMAIN_GUARD, 1e-9 x_max), y >= 0; every other
+coefficient callable accepts scalars or numpy arrays.
+``relativistic(k, s)`` writes the relativistic constants and a, b, a',
+b', r once, for one member or for a column of members (the batched
+sweep of ``starphase.bounds``);
 ``primitives`` writes A, B and H from a member's constants, for
 ``relativistic`` and for the sweep's rows, which take their constants
 from the batch's columns and build no ``SystemModel``.
@@ -141,11 +144,14 @@ class SystemModel:
         Level map z B(x) - A(x), bit-identical to that expression on
         floats and arrays (the sign of the zero at x = z included).
     field : callable
-        Planar field ``field(x, y) -> (dx, dy)`` on floats, bit-identical
-        to ``(y - x, a(x)*y - b(x)*y*y)``; ``make_model`` fuses it into
-        one expression (the relativistic branch takes 1 - s x once).
-        ``make_model`` builds r, H and field; a hand-built model must
-        supply them.
+        Planar field ``field(x, y) -> (dx, dy)`` on floats only,
+        bit-identical to ``(y - x, a(x)*y - b(x)*y*y)``; ``make_model``
+        fuses it into one expression (the relativistic branch takes
+        1 - s x once).  It raises ``DomainError`` outside the shoot's box
+        ``0.0 <= x < x_hi``, ``y >= 0.0``, where x_hi = x_max -
+        max(DOMAIN_GUARD, 1e-9 x_max) (inf for ``nonrel``), so
+        ``shoot_heteroclinic`` integrates it as it is.  ``make_model``
+        builds r, H and field; a hand-built model must supply them.
     x_max : float
         Right end of the admissible x interval (pole of a, b or +inf).
     a0 : float
@@ -291,8 +297,13 @@ def make_model(spec: ModelSpec) -> SystemModel:
         r = lambda x: x * 0.0 + 1.0
         # z B(x) is +0.0 on the domain, so z B(x) - A(x) is 0.0 - A(x)
         H = lambda x: 0.0 - A(x)
-        field = lambda x, y: (y - x, (2.0 - x) * y - (x * 0.0) * y * y)
-        x_max = math.inf
+        x_max = x_hi = math.inf
+
+        def field(x, y):
+            if not (0.0 <= x < x_hi) or y < 0.0:
+                raise DomainError("state left the admissible domain")
+            return (y - x, (2.0 - x) * y - (x * 0.0) * y * y)
+
         b_is_zero = True
     else:
         k, s = spec.ks
@@ -303,7 +314,11 @@ def make_model(spec: ModelSpec) -> SystemModel:
         a_prime, b_prime = rel.a_prime, rel.b_prime
         A, B, H = rel.A, rel.B, rel.H
 
+        x_hi = x_max - max(DOMAIN_GUARD, 1e-9 * x_max)
+
         def field(x, y):
+            if not (0.0 <= x < x_hi) or y < 0.0:
+                raise DomainError("state left the admissible domain")
             # (y - x, a(x)*y - b(x)*y*y) with 1 - s x taken once
             q = 1.0 - s * x
             return (y - x, (2.0 - c * x) / q * y - gs / q * y * y)

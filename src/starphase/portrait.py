@@ -22,6 +22,7 @@ from itertools import chain
 
 import numpy as np
 
+from .errors import DomainError
 from .lyapunov import LevelSetGrid, level_set_grid, write_grid_csv
 from .models import SystemModel
 
@@ -40,7 +41,9 @@ def field_grid(m: SystemModel, x_range, y_range, nx: int, ny: int):
     """Sample the vector field and V on a rectangular grid.
 
     Returns (grid, U, W) where grid is the LevelSetGrid of V and U, W
-    hold the field components (nan outside the domain).
+    hold the field components (nan outside the domain).  Raises
+    DomainError if the field overflows on a valid node, as it does on
+    the default box of a ``scaled`` member below a scale of about 1e-154.
     """
     grid = level_set_grid(m, x_range, y_range, nx, ny)
     X, Y = np.meshgrid(grid.xs, grid.ys, indexing="ij")
@@ -48,9 +51,16 @@ def field_grid(m: SystemModel, x_range, y_range, nx: int, ny: int):
     W = np.full_like(X, np.nan)
     v = grid.valid
     if v.any():
+        # y - x cannot overflow, since x >= 0 and y > 0 on valid nodes
         U[v] = Y[v] - X[v]
-        W[v] = np.asarray(m.a(X[v]), dtype=float) * Y[v] \
-            - np.asarray(m.b(X[v]), dtype=float) * np.square(Y[v])
+        with np.errstate(over="ignore", invalid="ignore"):
+            W[v] = np.asarray(m.a(X[v]), dtype=float) * Y[v] \
+                - np.asarray(m.b(X[v]), dtype=float) * np.square(Y[v])
+        bad = np.count_nonzero(~np.isfinite(W[v]))
+        if bad:
+            raise DomainError(
+                f"the field overflows on this plot box: dy is not finite "
+                f"at {bad} of {np.count_nonzero(v)} nodes")
     return grid, U, W
 
 

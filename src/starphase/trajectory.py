@@ -29,6 +29,34 @@ The two parts of delta exceed these bounds by factors above 300.  So the
 pre-test never turns an arrival into a miss, and the shoot returns the
 same bits as with H evaluated on every step, while calling H on about
 one accepted step in ten.
+
+Before the ball and the log, a log-free test rejects most states.  With
+d = y - z and M = max(y, z), for y > 0
+
+    G = d - z log(y/z) >= d^2 / (2 M).
+
+(With t = y/z: for t >= 1, t/2 - 1/(2t) - log t vanishes at 1 and has
+derivative (t - 1)^2/(2 t^2) >= 0; for t <= 1, t - 1 - log t - (t - 1)^2/2
+vanishes at 1 and has derivative -(t - 1)^2/t <= 0.)  The test returns
+False when the float d*d exceeds both r^2 raised by one float and
+2 M (v_skip + 1e-9 (y + z)) (1 + mu), mu = 1e-3, where v_skip + 1e-9
+(y + z) = T is the threshold of the G test above.
+
+* The ball test's float d**2 and d*d are faithful roundings of the same
+  square, so they are equal or adjacent floats: d*d above r^2 raised by
+  one float puts d**2 above r^2, and the ball test fails.  For y <= 0
+  the test then returns False anyway.
+* The float sides of the second comparison are within 10 u of their
+  exact values, so G > T (1 + mu)(1 - 13 u).  The float G differs from G
+  by at most 5.01 u (y + z) + 4.01 u G: the rounding of y - z, of y/z, of
+  the log (within one ulp), of the product by z and of the last
+  subtraction, with |L| <= G + |y - z| <= G + y + z.  Since T >= 1e-9
+  (y + z), the float G exceeds the float T as soon as mu >= 5.6e-7;
+  mu = 1e-3 exceeds that by a factor above 1000.
+
+So wherever the log-free test rejects, the G test rejects too and the
+shoot's bits are unchanged.  The argument takes y - z, y/z, its log and
+z log(y/z) to be normal floats, as on every state a shoot reaches.
 """
 
 from __future__ import annotations
@@ -41,7 +69,7 @@ import numpy as np
 from . import integrate
 from .errors import DomainError
 from .lyapunov import lyapunov_value
-from .models import DOMAIN_GUARD, SystemModel, eval_field, find_w
+from .models import SystemModel, eval_field, find_w
 
 
 @dataclass(frozen=True)
@@ -156,15 +184,7 @@ def shoot_heteroclinic(m: SystemModel,
         raise ValueError(f"eps_start must lie below w = {m.w!r} (launch "
                          f"inside the trap region), got {eps!r}")
     y0 = (eps, (m.a0 + 1.0) * eps)
-    guard = max(DOMAIN_GUARD, 1e-9 * m.x_max if math.isfinite(m.x_max) else 0.0)
-    field, H, z = m.field, m.H, m.z
-
-    x_hi = m.x_max - guard
-
-    def fieldfn(x, y):
-        if not (0.0 <= x < x_hi) or y < 0.0:
-            raise DomainError("state left the admissible domain")
-        return field(x, y)
+    H, z = m.H, m.z
 
     r2 = cfg.converge_radius ** 2
     v = cfg.v_threshold
@@ -172,10 +192,18 @@ def shoot_heteroclinic(m: SystemModel,
     # (module docstring)
     ell = m.x_max if math.isfinite(m.x_max) else z
     v_skip = v * (1.0 + 1e-9) + 1e-12 * ell
+    # the log-free test compares d^2 with r^2 up one float and with
+    # 2 M (1 + mu) (v_skip + 1e-9 (y + z)) = M (c0 + c1 (y + z)),
+    # mu = 1e-3 (module docstring)
+    r2_up = math.nextafter(r2, math.inf)
+    c0, c1 = 2.002 * v_skip, 2.002e-9
 
     def arrived(x, y):
         # V on floats; the field validated this state at the FSAL stage
         d = y - z
+        dd = d * d
+        if dd > r2_up and dd > (y if y > z else z) * (c0 + c1 * (y + z)):
+            return False
         if (x - z) ** 2 + d ** 2 <= r2:
             return True
         if not y > 0.0:
@@ -187,7 +215,7 @@ def shoot_heteroclinic(m: SystemModel,
         return H(x) + y - z - L <= v
 
     sol = integrate.integrate_adaptive(
-        fieldfn, 0.0, y0, cfg.max_time, rtol=cfg.rel_tol, atol=cfg.abs_tol,
+        m.field, 0.0, y0, cfg.max_time, rtol=cfg.rel_tol, atol=cfg.abs_tol,
         max_steps=cfg.max_steps, stop=arrived)
 
     xs = sol.y[:, 0]

@@ -121,6 +121,20 @@ class TestToPhysical:
                                              "finite"):
             to_physical(trajectories["stiff"], units=SI, **{name: value})
 
+    @pytest.mark.parametrize("name", ["G", "c"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_natural_constant(self, trajectories, name, value):
+        # natural units ignore G and c, but used to ignore a bad one too
+        with pytest.raises(ValueError, match=f"{name} must be positive and "
+                                             "finite"):
+            to_physical(trajectories["stiff"], **{name: value})
+
+    def test_bad_natural_pair_names_G(self, trajectories):
+        with pytest.raises(ValueError, match="G must be positive and finite, "
+                                             "got nan"):
+            to_physical(trajectories["stiff"], units="natural", G=math.nan,
+                        c=-1.0)
+
     def test_bad_units(self, trajectories):
         with pytest.raises(ValueError):
             to_physical(trajectories["stiff"], units="imperial")

@@ -395,6 +395,52 @@ class TestPortrait:
         assert not path.exists()
 
 
+    @pytest.mark.parametrize("ext", ["svg", "csv"])
+    @pytest.mark.parametrize("scale", ["1e-160", "1e-300"])
+    def test_overflowing_field_exit_3(self, capsys, tmp_path, ext, scale):
+        # the default box of these members squares y above the float
+        # range: the SVG was written with nan arrows, the CSV with inf
+        path = tmp_path / f"field.{ext}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run(capsys, "portrait", "--model", "scaled",
+                                 "--scale", scale, "--grid", "24,24",
+                                 "--out", str(path))
+        assert code == 3
+        assert out == "" and not path.exists()
+        assert err == ("error: the field overflows on this plot box: dy is "
+                       "not finite at 576 of 576 nodes\n")
+
+    @pytest.mark.parametrize("ext", ["svg", "csv"])
+    def test_overflowing_field_entry_point(self, tmp_path, ext):
+        path = tmp_path / f"field.{ext}"
+        src = os.path.dirname(os.path.dirname(sp.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "starphase",
+             "portrait", "--model", "scaled", "--scale", "1e-160",
+             "--grid", "24,24", "--out", str(path)],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 3
+        assert proc.stdout == "" and not path.exists()
+        assert proc.stderr.count("\n") == 1
+        assert proc.stderr.startswith("error: the field overflows")
+
+    @pytest.mark.parametrize("ext", ["svg", "csv"])
+    def test_small_scale_is_finite(self, capsys, tmp_path, ext):
+        path = tmp_path / f"field.{ext}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, _, err = run(capsys, "portrait", "--model", "scaled",
+                               "--scale", "1e-100", "--grid", "24,24",
+                               "--out", str(path))
+        assert code == 0, err
+        text = path.read_text()
+        assert "nan" not in text and "inf" not in text
+
+
 class TestMasstable:
     def test_plain(self, capsys):
         code, out, _ = run(capsys, "masstable")

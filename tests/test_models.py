@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import starphase as sp
 from starphase import models as models_mod
 from starphase import rootfind
-from starphase.models import VERIFY_TOL, r_at_z
+from starphase.models import DOMAIN_GUARD, VERIFY_TOL, r_at_z
 from conftest import (SIGMA, count_root_solves, drawn_models, drawn_points,
                       random_domain_points)
 from reference_models import SINGULARITY_GUARD, oracle_verification
@@ -196,28 +196,56 @@ def unfused_field(m, x, y):
     return (y - x, m.a(x) * y - m.b(x) * y * y)
 
 
+def shoot_box_x_hi(m):
+    """Right end of the shoot's box, which ``m.field`` enforces."""
+    if not math.isfinite(m.x_max):
+        return math.inf
+    return m.x_max - max(DOMAIN_GUARD, 1e-9 * m.x_max)
+
+
 class TestFusedField:
     """``m.field`` fuses a and b into one expression but must return
-    ``(y - x, a(x)*y - b(x)*y*y)`` bit for bit."""
+    ``(y - x, a(x)*y - b(x)*y*y)`` bit for bit on floats inside the
+    shoot's box 0 <= x < x_hi, y >= 0, and raise ``DomainError`` outside
+    it."""
 
     def test_bit_identical_on_random_domain_points(self, each_model):
         m = each_model
         xs, ys = random_domain_points(m, 200_000, seed=3)
-        for got, want in zip(m.field(xs, ys), unfused_field(m, xs, ys)):
-            assert same_bits(got, want)
-        # the shoot calls it on floats
+        got = [m.field(x, y) for x, y in zip(xs.tolist(), ys.tolist())]
+        assert all(type(dy) is float for _, dy in got)
+        want = np.stack(unfused_field(m, xs, ys), axis=1)
+        assert same_bits(np.array(got), want)
         edge = [(0.0, 0.0), (0.0, m.z), (m.z, m.z), (m.z, 0.0)]
-        for x, y in edge + list(zip(xs[:2000].tolist(), ys[:2000].tolist())):
-            got = m.field(x, y)
-            assert type(got[1]) is float
-            assert same_bits(got, unfused_field(m, x, y)), (x, y)
+        x_hi = shoot_box_x_hi(m)
+        if math.isfinite(x_hi):
+            edge.append((math.nextafter(x_hi, 0.0), m.z))
+        for x, y in edge:
+            assert same_bits(m.field(x, y), unfused_field(m, x, y)), (x, y)
+
+    def test_domain_error_outside_the_box(self, each_model):
+        m = each_model
+        x_hi = shoot_box_x_hi(m)
+        outside = [(-5e-324, m.z), (-m.z, m.z), (m.z, -5e-324),
+                   (m.z, -m.z), (math.nan, m.z), (math.inf, m.z),
+                   (x_hi, m.z), (-math.inf, m.z)]
+        if math.isfinite(x_hi):
+            outside += [(m.x_max, m.z), (2.0 * m.x_max, 0.0),
+                        (math.nextafter(x_hi, math.inf), m.z)]
+        for x, y in outside:
+            with pytest.raises(sp.DomainError, match="admissible domain"):
+                m.field(x, y)
 
     @settings(max_examples=200, deadline=None)
     @given(m=drawn_models(), data=st.data(),
            u=st.floats(0.0, 4.0))
     def test_bit_identical_on_drawn_members(self, m, data, u):
         x, y = data.draw(drawn_points(m)), u * m.z
-        assert same_bits(m.field(x, y), unfused_field(m, x, y))
+        if x < shoot_box_x_hi(m):
+            assert same_bits(m.field(x, y), unfused_field(m, x, y))
+        else:
+            with pytest.raises(sp.DomainError):
+                m.field(x, y)
 
 
 class TestRoots:

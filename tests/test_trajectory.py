@@ -11,7 +11,7 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 import starphase as sp
-from starphase import integrate
+from starphase import integrate, trajectory
 from starphase.bounds import closed_form_X
 from starphase.trajectory import IntegratorConfig
 
@@ -472,6 +472,57 @@ def states_near_z(m, n, seed):
     return list(zip(xs.tolist(), ys.tolist()))
 
 
+def far_states(m, n, seed):
+    """n states (x, y) with x in the shoot's box and y above z by 1e-2 z
+    ... 1e6 z or below it by a factor 1.02 ... 1e8, a tenth of them with
+    y <= 0 instead."""
+    rng = np.random.default_rng(seed)
+    x_hi = 0.99 * m.x_max if math.isfinite(m.x_max) else 100.0 * m.z
+    xs = rng.uniform(0.0, x_hi, n)
+    ys = m.z * 10.0 ** rng.uniform(-2.0, 6.0, n)
+    ys = np.where(rng.random(n) < 0.5, m.z + ys, m.z * 10.0 ** -rng.uniform(
+        0.01, 8.0, n))
+    ys[: n // 10] = -m.z * 10.0 ** rng.uniform(-8.0, 2.0, n // 10)
+    ys[n // 10] = 0.0
+    ys[n // 10 + 1] = -0.0
+    return list(zip(xs.tolist(), ys.tolist()))
+
+
+def edge_states(m, cfg, n, seed):
+    """n states at x = z on the edges of the two arrival tests: y - z
+    within a few floats of +-r, and (y - z)^2/(2 z) within a factor 3 of
+    v, where V at x = z is about (y - z)^2/(2 z)."""
+    rng = np.random.default_rng(seed)
+    r, v, z = cfg.converge_radius, cfg.v_threshold, m.z
+    d = r * (1.0 + rng.integers(-4, 5, n // 2) * 2.0 ** -52)
+    d = np.append(d, math.sqrt(2.0 * v * z) * 3.0 ** rng.uniform(
+        -1.0, 1.0, n - n // 2))
+    d *= np.where(rng.random(n) < 0.5, -1.0, 1.0)
+    return [(z, y) for y in (z + d).tolist()]
+
+
+class CountingMath:
+    """``math`` with a count of its ``log`` calls."""
+
+    def __init__(self):
+        self.logs = 0
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def log(self, v):
+        self.logs += 1
+        return math.log(v)
+
+
+def full_arrival(m, cfg, x, y):
+    """The arrival test without its pre-tests: the ball, then V with H
+    evaluated."""
+    if (x - m.z) ** 2 + (y - m.z) ** 2 <= cfg.converge_radius ** 2:
+        return True
+    return y > 0.0 and former_arrival_value(m, x, y) <= cfg.v_threshold
+
+
 #: the four presets and members at the ends of the family: very soft
 #: equations of state (z = 4e-6 and 4e-8; at the latter the margin's
 #: 1e-12 x_max part, not its 1e-9 (y + z) part, covers a negative float
@@ -519,6 +570,35 @@ class TestArrivalPretest:
             assert arrival_test(m, cfg)(x, y), (x, y)
             checked += 1
         assert checked > 100
+
+    @settings(max_examples=60, deadline=None)
+    @given(family=st.sampled_from(list(FAMILY_ARGS)),
+           kappa=st.floats(0.02, 1.0), e_scale=st.floats(-3.0, 12.0),
+           e_v=st.floats(-16.0, -2.0),
+           e_r=st.one_of(st.floats(-12.0, -1.0), st.just(-300.0)),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_log_free_rejection_is_a_rejection(self, family, kappa, e_scale,
+                                               e_v, e_r, seed):
+        # the test without a log call rejects only states that the ball
+        # and V tests reject too
+        m = sp.model(family, kappa=kappa if family == "kappa" else None,
+                     scale=10.0 ** e_scale if family == "scaled" else None)
+        cfg = IntegratorConfig(eps_start=m.w / 100.0,
+                               v_threshold=10.0 ** e_v * m.z,
+                               converge_radius=10.0 ** e_r * m.z)
+        counting = CountingMath()
+        near = states_near_z(m, 200, seed)
+        far = far_states(m, 200, seed)
+        log_free = 0
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(trajectory, "math", counting)
+            arrived = arrival_test(m, cfg)
+            for x, y in near + far + edge_states(m, cfg, 200, seed):
+                logs = counting.logs
+                got = bool(arrived(x, y))
+                assert got == full_arrival(m, cfg, x, y), (x, y)
+                log_free += not got and counting.logs == logs
+        assert log_free >= len(far) // 2
 
     def test_skips_most_level_map_calls(self, models):
         m = models["stiff"]
