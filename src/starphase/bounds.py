@@ -28,6 +28,7 @@ inversion is authoritative.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,19 +37,12 @@ from . import rootfind
 from .errors import (ConvergenceError, DomainError, HypothesisError,
                      StarphaseError)
 from .lambertw import BRANCH_POINT, lambert_w
-from .models import (DOMAIN_GUARD, VERIFY_TOL, Family, ModelSpec, SystemModel,
-                     find_w, find_z, make_model, primitives, relativistic,
-                     w_objective, z_objective)
+from .models import (DOMAIN_GUARD, Family, ModelSpec, SystemModel, find_w,
+                     find_z, make_model)
 
 #: demanded agreement between the closed form and the H inversion,
 #: relative to X; ``bound_X`` raises above it
 CLOSED_FORM_TOL = 1e-9
-
-#: rows per batched hypothesis check in ``kappa_sweep``, a memory cap: at
-#: the default n = 200 its largest arrays, b and r on the 4n grid, hold
-#: 64 x 800 floats (410 KB).  A batch's cost per row is near its floor
-#: from about 30 to 100 rows and rises above that (BENCH_14.json)
-SWEEP_CHUNK = 64
 
 #: columns of a ``kappa_sweep`` row, in CSV order
 SWEEP_FIELDS = ("kappa", "z", "w", "alpha", "D", "E", "X_closed", "X_numeric")
@@ -61,12 +55,7 @@ def excess_E(m: SystemModel) -> float:
     minimum), zero only in the degenerate coincidence (a0 + 1) w = z.
     Reads the model's closed-form w; ``find_w`` verifies it.
     """
-    return _excess(m.a0, m.w, m.z)
-
-
-def _excess(a0: float, w: float, z: float) -> float:
-    """``excess_E`` of the member with these constants."""
-    s = (a0 + 1.0) * w
+    s, z = (m.a0 + 1.0) * m.w, m.z
     if s < z:
         raise HypothesisError(f"(a0+1)w = {s} < z = {z}")
     return s - z - z * math.log(s / z)
@@ -78,7 +67,9 @@ def invert_H(m: SystemModel, level: float) -> float:
     H is strictly increasing on [z, x_max), so a bracketed root search
     suffices; its right bracket end walks toward x_max - DOMAIN_GUARD
     (geometrically for an unbounded domain, halving the gap otherwise),
-    where H is still defined.
+    where H is still defined.  Every probe of the walk and of the solve
+    lies in [z, x_max - DOMAIN_GUARD), so H's domain check is made once,
+    at z.
 
     Raises
     ------
@@ -87,21 +78,9 @@ def invert_H(m: SystemModel, level: float) -> float:
         the level is unreachable below x_max (the achievable supremum
         estimate is reported).
     """
-    _check_z_in_domain(m)
-    return _invert(m.H, m.z, m.x_max, level)
-
-
-def _check_z_in_domain(m: SystemModel) -> None:
-    """H's domain check for an inversion: every probe of the bracket walk
-    and of brentq lies in [z, x_max - DOMAIN_GUARD), so it is made once,
-    at z."""
-    if not 0.0 <= m.z < m.x_max - DOMAIN_GUARD:
-        m.check_x(m.z)
-
-
-def _invert(H, z: float, x_max: float, level: float) -> float:
-    """``invert_H`` on the level map H of a member whose z lies in the
-    domain [0, x_max - DOMAIN_GUARD)."""
+    H, z, x_max = m.H, m.z, m.x_max
+    if not 0.0 <= z < x_max - DOMAIN_GUARD:
+        m.check_x(z)
     if level != level:
         raise DomainError(f"H level must be a number, got {level}")
     if level < 0.0:
@@ -132,81 +111,44 @@ def closed_form_X(m: SystemModel) -> float:
       At (1, 1) the Lambert argument is STIFF_LAMBERT_ARG and
       X = 1 + W0(-2^(1/3) e^(-4/3)) / 2.
     """
-    return _closed_form(m.z, m.x_max, _lambert_P(m), excess_E(m))
-
-
-def _lambert_P(m: SystemModel) -> float | None:
-    """P = 2 + beta of a relativistic model, None for b = 0."""
     if m.b_is_zero:
-        return None
+        return m.z + math.sqrt(2.0 * excess_E(m))
     k, _ = m.spec.ks
-    return 2.0 + (1.0 + k) / (2.0 * k)
-
-
-def _closed_form(z: float, x_max: float, P: float | None, E: float) -> float:
-    """``closed_form_X`` of the member with these constants and excess E;
-    P is None for the b = 0 family."""
-    if P is None:
-        return z + math.sqrt(2.0 * E)
-    Q = P * (x_max - z)
-    return x_max + (x_max - z) * lambert_w(-math.exp(-1.0 - E / Q))
-
-
-def _linspace(start: float, stop: float, num: int) -> np.ndarray:
-    """``np.linspace(start, stop, num)`` bit for bit, for float ends and
-    num >= 1, without its per-call overhead: the same operations on the
-    same values, the subnormal-step and single-sample paths included."""
-    y = np.arange(num, dtype=float)
-    div, delta = num - 1, stop - start
-    if div > 0 and delta / div != 0.0:
-        y *= delta / div
-    else:
-        if div > 0:
-            y /= div
-        y *= delta
-    y += start
-    if div > 0:
-        y[-1] = stop
-    return y
-
-
-def _row_linspace(start, stop, num: int) -> np.ndarray:
-    """``_linspace`` for column arrays (R, 1) of ends: row i of the
-    (R, num) result equals ``_linspace(start[i, 0], stop[i, 0], num)``
-    bit for bit, the rows whose step underflows to zero included.  Float
-    ends give the one row of ``_linspace``."""
-    div, delta = num - 1, stop - start
-    if np.ndim(delta) == 0:
-        return _linspace(start, stop, num)
-    y = np.arange(num, dtype=float)
-    if div > 0:
-        step = delta / div
-        tiny = step == 0.0
-        y = y * step
-        if tiny.any():
-            y = np.where(tiny, np.arange(num, dtype=float) / div * delta, y)
-    else:
-        y = y * delta
-    y = y + start
-    if div > 0:
-        y[..., -1:] = stop
-    return y
+    Q = (2.0 + (1.0 + k) / (2.0 * k)) * (m.x_max - m.z)
+    return m.x_max + (m.x_max - m.z) * lambert_w(
+        -math.exp(-1.0 - excess_E(m) / Q))
 
 
 def check_hypotheses(m: SystemModel, n: int = 200) -> None:
-    """Sampled verification of the four structural hypotheses behind the
-    bound: sign conditions on b, a(0) and r, the w crossing identity with
-    its ordering, the tangent-line inequality below w, and the isocline
-    slope condition on the rectangle [w, z] x [z, (a0+1) w].
+    """Verification of the four structural hypotheses behind the bound:
+    sign conditions on b, a(0) and r, the w crossing identity with its
+    ordering, the tangent-line inequality below w, and the isocline slope
+    condition on the rectangle [w, z] x [z, (a0+1) w].
+
+    Every model gets the checks of n (an integer, at least 1) and of
+    a(0) > 0, and ``find_w``'s sign test of w with its ordering
+    (a0 + 1) w > z >= w > 0.  A model that ``make_model`` built
+    (``SystemModel.built_in``) then gets one more, the domain of the r
+    sample's largest abscissa hi = 0.95 x_max (4 z for ``nonrel``).  Its
+    other sampled facts are identities of the closed forms (a0 = 2):
+
+    * b = gamma s/(1 - s x) > 0 and r = c/(1 - s x) > 0 on [0, hi];
+    * a - a0 - (a0 + 1) w b = -s (beta x + 3 gamma w)/(1 - s x) < 0;
+    * a' - b' y = -s (beta + gamma s y)/(1 - s x)^2 < 0;
+
+    and for ``nonrel`` b = 0, r = 1, a - a0 = -x and a' - b' y = -1.  So
+    this O(1) predicate raises what the sampled check raises, in the
+    same order.  Any other model, hand-built or made by
+    ``dataclasses.replace``, is checked on samples: b and r on 4n
+    abscissae of [0, hi], the tangent line on n of [w/n, w] and the slope
+    on n of [w, z]; the sampled check is the predicate's test oracle.
 
     Raises HypothesisError naming the failing condition and a witness,
-    and ValueError for n below 1.
-
-    ``kappa_sweep`` evaluates the same samples for up to SWEEP_CHUNK
-    (64) members at once (``_hypotheses_hold``): the same elementwise
-    IEEE operations on the same values, so its verdict is this check's, bit
-    for bit; only a member it fails comes back here for the message.
+    DomainError when the r sample leaves [0, x_max - DOMAIN_GUARD),
+    TypeError for an n that is not an integer and ValueError for n
+    below 1.
     """
+    n = operator.index(n)
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
     if m.a0 <= 0.0:
@@ -214,13 +156,19 @@ def check_hypotheses(m: SystemModel, n: int = 200) -> None:
     w = find_w(m)  # also enforces (a0+1)w > z >= w > 0
 
     hi = 0.95 * m.x_max if math.isfinite(m.x_max) else 4.0 * m.z
-    xs = _linspace(0.0, hi, 4 * n)
+    in_domain = 0.0 <= hi < m.x_max - DOMAIN_GUARD
+    if m.built_in:
+        if not in_domain:
+            m.check_x(hi)
+        return
+
+    xs = np.linspace(0.0, hi, 4 * n)
     bs = np.asarray(m.b(xs), dtype=float)
     if (bs < 0.0).any():
         i = int(np.argmin(bs))
         raise HypothesisError(f"b < 0 at x = {xs[i]}", point=(float(xs[i]),))
     # the r sample spans [0, hi], so its domain check is the one at hi
-    if not 0.0 <= hi < m.x_max - DOMAIN_GUARD:
+    if not in_domain:
         m.check_x(xs)
     # r = c/(1 - s x) overflows to +inf, which passes, when c is near the
     # float maximum (kappa below about 1e-307)
@@ -230,87 +178,28 @@ def check_hypotheses(m: SystemModel, n: int = 200) -> None:
         i = int(np.argmin(rs))
         raise HypothesisError(f"r < 0 at x = {xs[i]}", point=(float(xs[i]),))
 
-    xs_w = _linspace(w / n, w, n)
-    gap = _tangent_gap(m, w, xs_w)
+    xs_w = np.linspace(w / n, w, n)
+    lhs = (m.a0 + 1.0) * w * np.asarray(m.b(xs_w), dtype=float)
+    gap = np.asarray(m.a(xs_w), dtype=float) - m.a0 - lhs
     if (gap > 1e-12).any():
         i = int(np.argmax(gap))
         raise HypothesisError(
             f"(a0+1) w b(x) >= a(x) - a(0) fails at x = {xs_w[i]}",
             point=(float(xs_w[i]),))
 
-    xr = _linspace(w, m.z, n)[:, None]
+    # a' and b' depend on x only, and the rounded a' - b' y is monotone
+    # in y: on each abscissa its maximum over y in [z, (a0+1) w] is at one
+    # of the two ends, bit for bit, so testing those two ordinates decides
+    # the condition as any mesh of ordinates would
+    xr = np.linspace(w, m.z, n)[:, None]
     yr = np.array([m.z, (m.a0 + 1.0) * w])
-    slope_cond = _slope_condition(m, xr, yr)
+    slope_cond = np.asarray(m.a_prime(xr), dtype=float) \
+        - np.asarray(m.b_prime(xr), dtype=float) * yr
     if (slope_cond >= 0.0).any():
         i, j = np.unravel_index(int(np.argmax(slope_cond)), slope_cond.shape)
         raise HypothesisError(
             f"a' - b' y < 0 fails at ({xr[i, 0]}, {yr[j]})",
             point=(float(xr[i, 0]), float(yr[j])))
-
-
-def _tangent_gap(m, w, x):
-    """a(x) - a(0) - (a0 + 1) w b(x); the tangent-line condition of
-    ``check_hypotheses`` fails where it exceeds 1e-12."""
-    lhs = (m.a0 + 1.0) * w * np.asarray(m.b(x), dtype=float)
-    rhs = np.asarray(m.a(x), dtype=float) - m.a0
-    return rhs - lhs
-
-
-def _slope_condition(m, x, y):
-    """a'(x) - b'(x) y, broadcast over the shapes of ``x`` and ``y``; the
-    isocline slope condition of ``check_hypotheses`` needs it below 0.
-
-    a' and b' depend on x only, and the rounded a' - b' y is monotone
-    in y: on each abscissa its maximum over y in [z, (a0+1) w] is at one
-    of the two ends, bit for bit, so testing those two ordinates decides
-    the condition as any mesh of ordinates would."""
-    return np.asarray(m.a_prime(x), dtype=float) \
-        - np.asarray(m.b_prime(x), dtype=float) * y
-
-
-#: a closed-form constant v is verified on the band v * _BAND
-#: (``models._verified``)
-_BAND = np.array([1.0 - VERIFY_TOL, 1.0 + VERIFY_TOL])
-
-
-def _changes_sign(g) -> np.ndarray:
-    """Column (R, 1): whether each row of objective values g (R, 2) on
-    the band changes sign, as ``models._verified`` decides it (min <= 0
-    <= max is its test, a zero counting and NaN failing)."""
-    return ((g.min(axis=-1, keepdims=True) <= 0.0)
-            & (g.max(axis=-1, keepdims=True) >= 0.0))
-
-
-def _hypotheses_hold(p, n: int = 200) -> np.ndarray:
-    """Verdicts of ``check_hypotheses(m, n)`` for a stack of R members:
-    element i is True exactly when the check passes for member i.
-
-    ``p`` holds a0, z, w and x_max as columns (R, 1), x_max finite (it
-    may be one float for all rows), and a, b, r, a' and b' as callables
-    that map samples of shape (n,) or (R, n) to (R, n), as
-    ``models.relativistic`` builds them for a column of kappa.  Each
-    check takes the same elementwise operations on the same samples as
-    the scalar one (``_row_linspace`` builds each row of a grid bit for
-    bit), so only the reductions differ.  The caller re-runs
-    ``check_hypotheses`` on a failing member for its error and witness.
-    """
-    a0, z, w = p.a0, p.z, p.w
-    top = (a0 + 1.0) * w
-    # find_w: its objective changes sign on the band, and w is ordered
-    ok = ((a0 > 0.0) & _changes_sign(w_objective(p, w * _BAND))
-          & (top > z) & (z >= w - 1e-15) & (w > 0.0))
-
-    # b and r signs, and the domain check of the r sample
-    xs = _row_linspace(0.0, 0.95 * p.x_max, 4 * n)
-    bad = ((p.b(xs) < 0.0) | (xs < 0.0) | (xs >= p.x_max - DOMAIN_GUARD)
-           | (p.r(xs) < -1e-12))
-    ok &= ~bad.any(axis=-1, keepdims=True)
-    gap = _tangent_gap(p, w, _row_linspace(w / n, w, n))
-    ok &= ~(gap > 1e-12).any(axis=-1, keepdims=True)
-    # ordinates first, so each array operation runs along a whole row
-    yr = np.stack([z, top])
-    slope_cond = _slope_condition(p, _row_linspace(w, z, n), yr)
-    return ok[:, 0] & ~(slope_cond >= 0.0).any(axis=(0, 2))
 
 
 @dataclass(frozen=True)
@@ -341,42 +230,25 @@ class BoundReport:
 def bound_X(m: SystemModel) -> BoundReport:
     """Evaluate the bound: hypotheses check, H inversion, closed form.
 
-    ``check_hypotheses`` verifies w and ``find_z`` verifies z by sign
-    tests; the H inversion is the one root solve.  Raises
-    ``ConvergenceError`` if the absolute ``agreement`` of the two routes
-    exceeds ``CLOSED_FORM_TOL * X_numeric``.
+    ``check_hypotheses`` verifies w (by its O(1) predicate for a member
+    that ``make_model`` built) and ``find_z`` verifies z, both by sign
+    tests; ``invert_H`` checks z's domain and makes the one root solve.
+    Raises ``ConvergenceError`` if the absolute ``agreement`` of the two
+    routes exceeds ``CLOSED_FORM_TOL * X_numeric``.
     """
     check_hypotheses(m)
-    return _bound_report(m)
-
-
-def _bound_report(m: SystemModel) -> BoundReport:
-    """``bound_X`` of a model whose hypotheses are checked."""
     z = find_z(m)
     E = excess_E(m)
-    _check_z_in_domain(m)
-    X_num, X_cl, agr = _bound(m.H, z, m.x_max, _lambert_P(m), E)
-    return BoundReport(family=m.family.value, z=z, w=m.w, E=E,
-                       X_numeric=X_num, X_closed=X_cl, agreement=agr)
-
-
-def _bound(H, z: float, x_max: float, P: float | None,
-           E: float) -> tuple[float, float, float]:
-    """X_numeric, X_closed and their absolute agreement for the member
-    with level map H, verified z in the domain, x_max, P = 2 + beta
-    (None for b = 0) and excess E: the one bound computation of
-    ``bound_X`` and of ``kappa_sweep``'s rows.  Raises
-    ``ConvergenceError`` if the agreement exceeds
-    ``CLOSED_FORM_TOL * X_numeric``."""
-    X_num = _invert(H, z, x_max, E)
-    X_cl = _closed_form(z, x_max, P, E)
+    X_num = invert_H(m, E)
+    X_cl = closed_form_X(m)
     agr = abs(X_num - X_cl)
     if agr > CLOSED_FORM_TOL * X_num:
         raise ConvergenceError(
             f"closed form X = {X_cl!r} and H inversion X = {X_num!r} differ "
             f"by {agr / X_num:.3g} relative, above CLOSED_FORM_TOL = "
             f"{CLOSED_FORM_TOL:g}")
-    return X_num, X_cl, agr
+    return BoundReport(family=m.family.value, z=z, w=m.w, E=E,
+                       X_numeric=X_num, X_closed=X_cl, agreement=agr)
 
 
 @dataclass(frozen=True)
@@ -463,24 +335,12 @@ def kappa_constants(kappa: float) -> KappaConstants:
 def kappa_sweep(kappas) -> list[dict]:
     """Bound evaluation over a kappa grid.
 
-    Each row carries the published alpha and D (``_lambert_constants``,
-    as ``kappa_constants`` reports them) alongside both bound routes;
-    ``X_closed`` is the primitive-consistent closed form (equal to
-    ``X_numeric`` to round-off).
-
-    The rows are taken SWEEP_CHUNK (64) at a time, a shorter sweep in one
-    batch: ``models.relativistic`` writes the constants of the stacked
-    members as columns, ``_hypotheses_hold`` evaluates
-    ``check_hypotheses``'s samples on them, and z's sign test
-    (``find_z``) runs on the z column; each is exact because it takes
-    the same IEEE operations on the same values.  A row whose kappa lies
-    in (0, 1] and that passes both takes its bound from its own column
-    entries: its excess E, its level map (``models.primitives``) and
-    ``_bound``, the computation of ``bound_X``, so the row equals
-    ``bound_X``'s report bit for bit, with no ``ModelSpec`` or
-    ``SystemModel`` built.  Every other row takes the scalar path in row
-    order (``make_model``, ``check_hypotheses``, ``bound_X``'s report)
-    for the error and witness.
+    Row i is ``bound_X`` of the member that ``make_model`` builds at
+    kappa i, so the O(1) predicate of ``check_hypotheses`` decides its
+    hypotheses.  Each row carries the published alpha and D
+    (``_lambert_constants``, as ``kappa_constants`` reports them)
+    alongside both bound routes; ``X_closed`` is the primitive-consistent
+    closed form (equal to ``X_numeric`` to round-off).
 
     Raises
     ------
@@ -491,37 +351,17 @@ def kappa_sweep(kappas) -> list[dict]:
     """
     ks = [float(k) for k in kappas]
     rows = []
-    for start in range(0, len(ks), SWEEP_CHUNK):
-        chunk = np.array(ks[start:start + SWEEP_CHUNK])
-        with np.errstate(all="ignore"):
-            rel = relativistic(chunk[:, None], 1.0)
-            # ModelSpec's range; a kappa outside it is refused by the
-            # scalar path in its turn
-            fast = ((chunk > 0.0) & (chunk <= 1.0) & _hypotheses_hold(rel)
-                    & _changes_sign(z_objective(rel, rel.z * _BAND))[:, 0])
-        columns = zip(*[v[:, 0].tolist() for v in
-                        (rel.z, rel.w, rel.a0, rel.P, rel.beta, rel.gamma)])
-        for i, (k, ok, (z, w, a0, P, beta, gamma)) in enumerate(
-                zip(chunk.tolist(), fast.tolist(), columns), start + 1):
-            try:
-                if ok:
-                    E = _excess(a0, w, z)
-                    H = primitives(1.0, z, P, beta, gamma).H
-                    X_num, X_cl, _ = _bound(H, z, rel.x_max, P, E)
-                else:
-                    m = make_model(ModelSpec(Family.KAPPA_FAMILY, kappa=k))
-                    check_hypotheses(m)
-                    rep = _bound_report(m)
-                    z, w, E = rep.z, rep.w, rep.E
-                    X_num, X_cl = rep.X_numeric, rep.X_closed
-            except (StarphaseError, ValueError) as exc:
-                exc.args = (f"kappa = {k!r} (row {i} of {len(ks)}): {exc}",)
-                raise
-            _, alpha, _, D = _lambert_constants(k)
-            rows.append({
-                "kappa": k, "z": z, "w": w, "alpha": alpha, "D": D, "E": E,
-                "X_closed": X_cl, "X_numeric": X_num,
-            })
+    for i, k in enumerate(ks, 1):
+        try:
+            rep = bound_X(make_model(ModelSpec(Family.KAPPA_FAMILY, kappa=k)))
+        except (StarphaseError, ValueError) as exc:
+            exc.args = (f"kappa = {k!r} (row {i} of {len(ks)}): {exc}",)
+            raise
+        _, alpha, _, D = _lambert_constants(k)
+        rows.append({
+            "kappa": k, "z": rep.z, "w": rep.w, "alpha": alpha, "D": D,
+            "E": rep.E, "X_closed": rep.X_closed, "X_numeric": rep.X_numeric,
+        })
     return rows
 
 

@@ -29,12 +29,9 @@ planar field ``field(x, y)`` of the heteroclinic shoot, which takes
 The field is float-only and raises ``DomainError`` outside the shoot's
 box 0 <= x < x_max - max(DOMAIN_GUARD, 1e-9 x_max), y >= 0; every other
 coefficient callable accepts scalars or numpy arrays.
-``relativistic(k, s)`` writes the relativistic constants and a, b, a',
-b', r once, for one member or for a column of members (the batched
-sweep of ``starphase.bounds``);
-``primitives`` writes A, B and H from a member's constants, for
-``relativistic`` and for the sweep's rows, which take their constants
-from the batch's columns and build no ``SystemModel``.
+``make_model`` marks the members it builds (``SystemModel.built_in``):
+for them ``bounds.check_hypotheses`` runs an O(1) predicate in place of
+its samples, whose facts are identities of the closed forms above.
 ``find_z``, ``find_w`` and ``find_x0`` return the closed forms after a
 sign test of their objective on the band v (1 -+ VERIFY_TOL); no root is
 solved here.
@@ -42,8 +39,7 @@ solved here.
 
 from __future__ import annotations
 
-import collections
-import functools
+import dataclasses
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -161,6 +157,12 @@ class SystemModel:
         unstable-line/isocline intersection, zero of a.
     b_is_zero : bool
         True for the degenerate b = 0 family.
+    built_in : bool
+        True only for a member that ``make_model`` built, whose
+        hypotheses ``bounds.check_hypotheses`` decides by an O(1)
+        predicate.  It is not a constructor argument, and
+        ``dataclasses.replace`` does not copy it, so every other model
+        is unmarked and gets the sampled check.
     """
 
     spec: ModelSpec
@@ -179,6 +181,7 @@ class SystemModel:
     w: float
     x0: float
     b_is_zero: bool = False
+    built_in: bool = dataclasses.field(default=False, init=False)
 
     @property
     def family(self) -> Family:
@@ -198,83 +201,6 @@ class SystemModel:
         if (np.any(y < lo) if not y_positive else np.any(y <= lo)):
             raise DomainError("y must be " +
                               ("positive" if y_positive else "nonnegative"))
-
-
-def _float_square(v):
-    """``v ** 2`` as Python floats compute it (C ``pow``), elementwise for
-    an array: numpy squares an array by ``v * v``, which rounds otherwise
-    in about 1 in 1100 arguments in [1, 2]."""
-    if isinstance(v, float):
-        return v ** 2
-    return np.array([t ** 2 for t in v.ravel().tolist()]).reshape(v.shape)
-
-
-#: constants and coefficient callables of a relativistic member; see
-#: ``relativistic``
-Relativistic = collections.namedtuple(
-    "Relativistic",
-    "beta gamma P c gs x_max z w x0 a0 a b a_prime b_prime r A B H")
-
-#: the shifted primitives and the level map of a relativistic member; see
-#: ``primitives``
-Primitives = collections.namedtuple("Primitives", "A B H")
-
-
-def primitives(s, z, P, beta, gamma) -> Primitives:
-    """A, B and H = z B - A of the relativistic member with these
-    constants (as ``relativistic`` writes them), floats or columns.
-
-    A(x) = P x + beta log1p(-s x)/s and B(x) = -gamma log1p(-s x), each
-    shifted by its own float value at z, so A(z) = B(z) = 0 exactly.  H
-    takes the logarithm once and returns ``z*B(x) - A(x)`` bit for bit;
-    on a Python float it converts the logarithm to a float first, so the
-    rest of its arithmetic runs on Python floats (the same IEEE
-    operations, with no numpy scalar overhead).
-    """
-    L_z = np.log1p(-s * z)
-    if np.ndim(L_z) == 0:
-        L_z = float(L_z)
-    A_z, B_z = P * z + beta * L_z / s, -gamma * L_z
-    A = lambda x: P * x + beta * np.log1p(-s * x) / s - A_z
-    B = lambda x: -gamma * np.log1p(-s * x) - B_z
-
-    def H(x):
-        L = np.log1p(-s * x)
-        if isinstance(x, float):
-            L = float(L)
-        return z * (-gamma * L - B_z) - (P * x + beta * L / s - A_z)
-
-    return Primitives(A, B, H)
-
-
-def relativistic(k, s) -> Relativistic:
-    """The member (k, s) of a(x) = 2 - beta s x/(1 - s x),
-    b(x) = gamma s/(1 - s x): its constants, a, b, a', b', the
-    closed-form r = c/(1 - s x), and A, B and H (``primitives``).
-
-    k and s are floats, or arrays that broadcast: a column (R, 1) of k
-    stacks R members, whose callables map samples of shape (n,) or (R, n)
-    to (R, n).  Every value is the same IEEE expression on floats and on
-    arrays, so row i of an array result equals the float result of
-    member i bit for bit.  ``make_model`` builds its closures here, and
-    ``bounds.kappa_sweep`` its batched hypothesis check.
-    """
-    beta = (1.0 + k) / (2.0 * k)
-    gamma = (1.0 + k) / 2.0
-    P = 2.0 + beta
-    c, gs = P * s, gamma * s
-    a = lambda x: (2.0 - c * x) / (1.0 - s * x)
-    b = lambda x: gs / (1.0 - s * x)
-    a_prime = lambda x: -beta * s / np.square(1.0 - s * x)
-    b_prime = lambda x: gs * s / np.square(1.0 - s * x)
-    # z b - a = c (x - z)/(1 - s x), since a(z) = z b(z)
-    r = lambda x: c / (1.0 - s * x)
-    z = 4.0 * k / (_float_square(k + 1.0) + 4.0 * k) / s
-    w = 4.0 * k / (3.0 * k * k + 8.0 * k + 1.0) / s
-    x0 = 4.0 * k / (1.0 + 5.0 * k) / s
-    return Relativistic(beta, gamma, P, c, gs, 1.0 / s, z, w, x0, a(0.0),
-                        a, b, a_prime, b_prime, r,
-                        *primitives(s, z, P, beta, gamma))
 
 
 def make_model(spec: ModelSpec) -> SystemModel:
@@ -307,12 +233,37 @@ def make_model(spec: ModelSpec) -> SystemModel:
         b_is_zero = True
     else:
         k, s = spec.ks
-        rel = relativistic(k, s)
-        c, gs = rel.c, rel.gs
-        z, w, x0, x_max = rel.z, rel.w, rel.x0, rel.x_max
-        a, b, r = rel.a, rel.b, rel.r
-        a_prime, b_prime = rel.a_prime, rel.b_prime
-        A, B, H = rel.A, rel.B, rel.H
+        beta = (1.0 + k) / (2.0 * k)
+        gamma = (1.0 + k) / 2.0
+        P = 2.0 + beta
+        c, gs = P * s, gamma * s
+        a = lambda x: (2.0 - c * x) / (1.0 - s * x)
+        b = lambda x: gs / (1.0 - s * x)
+        a_prime = lambda x: -beta * s / np.square(1.0 - s * x)
+        b_prime = lambda x: gs * s / np.square(1.0 - s * x)
+        # z b - a = c (x - z)/(1 - s x), since a(z) = z b(z)
+        r = lambda x: c / (1.0 - s * x)
+        # C pow, not (k + 1) * (k + 1): the two round apart for about 1
+        # in 1100 arguments in [1, 2]
+        z = 4.0 * k / ((k + 1.0) ** 2 + 4.0 * k) / s
+        w = 4.0 * k / (3.0 * k * k + 8.0 * k + 1.0) / s
+        x0 = 4.0 * k / (1.0 + 5.0 * k) / s
+        x_max = 1.0 / s
+
+        # A = P x + beta log1p(-s x)/s and B = -gamma log1p(-s x), each
+        # shifted by its float value at z so that A(z) = B(z) = 0
+        L_z = float(np.log1p(-s * z))
+        A_z, B_z = P * z + beta * L_z / s, -gamma * L_z
+        A = lambda x: P * x + beta * np.log1p(-s * x) / s - A_z
+        B = lambda x: -gamma * np.log1p(-s * x) - B_z
+
+        def H(x):
+            # z*B(x) - A(x) with the logarithm taken once; on a Python
+            # float the rest runs on Python floats, the same operations
+            L = np.log1p(-s * x)
+            if isinstance(x, float):
+                L = float(L)
+            return z * (-gamma * L - B_z) - (P * x + beta * L / s - A_z)
 
         x_hi = x_max - max(DOMAIN_GUARD, 1e-9 * x_max)
 
@@ -325,10 +276,11 @@ def make_model(spec: ModelSpec) -> SystemModel:
 
         b_is_zero = False
 
-    return SystemModel(spec=spec, a=a, b=b, a_prime=a_prime, b_prime=b_prime,
-                       A=A, B=B, r=r, H=H, field=field, x_max=x_max,
-                       a0=float(a(0.0)), z=z, w=w, x0=x0,
-                       b_is_zero=b_is_zero)
+    m = SystemModel(spec=spec, a=a, b=b, a_prime=a_prime, b_prime=b_prime,
+                    A=A, B=B, r=r, H=H, field=field, x_max=x_max,
+                    a0=float(a(0.0)), z=z, w=w, x0=x0, b_is_zero=b_is_zero)
+    object.__setattr__(m, "built_in", True)
+    return m
 
 
 def model(family: Family | str, kappa: float | None = None,
@@ -361,24 +313,12 @@ def _verified(name: str, value: float, g) -> float:
     return value
 
 
-def z_objective(m, x):
-    """a(x) - x b(x), which vanishes at x = z; ``m`` is a model or a
-    ``Relativistic`` stack."""
-    return m.a(x) - x * m.b(x)
-
-
 def find_z(m: SystemModel) -> float:
     """Interior stationary abscissa: the positive root of a(z) = z b(z).
 
-    The closed form is verified by a sign test of ``z_objective``.
+    The closed form is verified by a sign test of a(x) - x b(x).
     """
-    return _verified("z", m.z, functools.partial(z_objective, m))
-
-
-def w_objective(m, x):
-    """(a0 + 1) x b(x) - a(x), which vanishes at x = w; ``m`` is a model
-    or a ``Relativistic`` stack."""
-    return (m.a0 + 1.0) * x * m.b(x) - m.a(x)
+    return _verified("z", m.z, lambda x: m.a(x) - x * m.b(x))
 
 
 def find_w(m: SystemModel) -> float:
@@ -392,7 +332,8 @@ def find_w(m: SystemModel) -> float:
     if m.b_is_zero:
         w = m.z
     else:
-        w = _verified("w", m.w, functools.partial(w_objective, m))
+        w = _verified("w", m.w,
+                      lambda x: (m.a0 + 1.0) * x * m.b(x) - m.a(x))
     if not ((m.a0 + 1.0) * w > m.z >= w - 1e-15 and w > 0.0):
         raise HypothesisError(
             f"ordering (a0+1)w > z >= w > 0 violated: w={w}, z={m.z}",

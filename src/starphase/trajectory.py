@@ -56,7 +56,9 @@ False when the float d*d exceeds both r^2 raised by one float and
 
 So wherever the log-free test rejects, the G test rejects too and the
 shoot's bits are unchanged.  The argument takes y - z, y/z, its log and
-z log(y/z) to be normal floats, as on every state a shoot reaches.
+z log(y/z) to be normal floats, as on every state a shoot reaches.  A
+state with y > 0 whose y/z underflows to 0 is rejected before the log:
+there V is far above any threshold.
 """
 
 from __future__ import annotations
@@ -206,9 +208,10 @@ def shoot_heteroclinic(m: SystemModel,
             return False
         if (x - z) ** 2 + d ** 2 <= r2:
             return True
-        if not y > 0.0:
+        q = y / z
+        if not q > 0.0:  # y <= 0, or y/z underflows: V is far above v
             return False
-        L = z * math.log(y / z)
+        L = z * math.log(q)
         # H >= 0: V <= v needs y - z - L <= v + delta, so H is skipped
         if d - L > v_skip + 1e-9 * (y + z):
             return False

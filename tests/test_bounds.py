@@ -2,7 +2,6 @@ import csv
 import dataclasses
 import math
 import warnings
-from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -15,7 +14,7 @@ import starphase as sp
 from starphase import bounds, lyapunov, rootfind
 from starphase.bounds import (STIFF_LAMBERT_ARG, check_hypotheses,
                               closed_form_X, kappa_sweep, sweep_to_csv)
-from starphase.models import DOMAIN_GUARD, ModelSpec, SystemModel
+from starphase.models import DOMAIN_GUARD, SystemModel
 
 from conftest import count_root_solves, drawn_models
 from reference_models import (reference_check_hypotheses,
@@ -158,28 +157,6 @@ def hand_built_models(base):
     out["z_below_w"] = dataclasses.replace(base, z=0.9 * base.w)
     out["a0_zero"] = dataclasses.replace(base, a0=0.0)
     return out
-
-
-def stacked(members):
-    """``members`` as one stack for ``bounds._hypotheses_hold``: columns
-    of a0, z, w and x_max, and callables that evaluate member i on row i
-    of their samples."""
-    def column(name):
-        return np.array([[getattr(m, name)] for m in members], dtype=float)
-
-    def rowwise(name):
-        def f(x):
-            x = np.broadcast_to(x, (len(members), np.shape(x)[-1]))
-            return np.stack([
-                np.broadcast_to(np.asarray(getattr(m, name)(row),
-                                           dtype=float), row.shape)
-                for m, row in zip(members, x)])
-        return f
-
-    return SimpleNamespace(
-        **{name: column(name) for name in ("a0", "z", "w", "x_max")},
-        **{name: rowwise(name)
-           for name in ("a", "b", "r", "a_prime", "b_prime")})
 
 
 def hex_rows(rows):
@@ -544,6 +521,21 @@ class TestHypotheses:
         with pytest.raises(ValueError, match=f"n must be at least 1, got {n}"):
             check_hypotheses(models["stiff"], n)
 
+    @pytest.mark.parametrize("n", [2.5, 200.0, "200", None])
+    def test_n_must_be_an_integer(self, models, n):
+        # n = 2.5 passed the n < 1 test and failed later in np.linspace;
+        # the predicate of a member of make_model samples nothing, so the
+        # type is checked up front on every model
+        for m in (models["stiff"], dataclasses.replace(models["stiff"])):
+            with pytest.raises(TypeError):
+                check_hypotheses(m, n)
+
+    def test_integer_like_n_accepted(self, models):
+        for m in (models["stiff"], dataclasses.replace(models["stiff"])):
+            check_hypotheses(m, np.int64(3))
+            with pytest.raises(ValueError, match="n must be at least 1"):
+                check_hypotheses(m, np.int64(0))
+
     def test_no_warning_where_r_overflows(self):
         # c = (2 + beta) s is near the float maximum, so r = c/(1 - s x)
         # overflows to +inf on the sample (a pass), once with a numpy
@@ -556,8 +548,9 @@ class TestHypotheses:
 
 
 class TestHypothesesMatchReference:
-    """``check_hypotheses`` samples r in closed form and builds its grids
-    without ``np.linspace``; the check it replaced is the oracle."""
+    """``check_hypotheses`` samples r in closed form, and decides a member
+    of ``make_model`` by its predicate; the check it replaced is the
+    oracle."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 50, 200])
     def test_presets(self, each_model, n):
@@ -575,22 +568,54 @@ class TestHypothesesMatchReference:
             check_hypotheses(m)
         assert_matches_reference(m)
 
-    @settings(max_examples=200, deadline=None)
-    @given(start=st.floats(-1e3, 1e3), stop=st.floats(-1e3, 1e3),
-           num=st.integers(1, 900))
-    def test_grid_is_linspace(self, start, stop, num):
-        got = bounds._linspace(start, stop, num)
-        assert got.tobytes() == np.linspace(start, stop, num).tobytes()
+def log_uniform(lo, hi):
+    """Floats log-uniform in [lo, hi]."""
+    return st.floats(math.log10(lo), math.log10(hi)).map(
+        lambda e: min(max(10.0 ** e, lo), hi))
 
-    @pytest.mark.parametrize("start, stop", [
-        (0.0, 5e-324), (1.0, 1.0), (0.0, 0.0), (2.0, 1.0),
-        (0.0, math.inf), (math.nan, 1.0)])
-    @pytest.mark.parametrize("num", [1, 2, 7])
-    def test_grid_edge_cases_are_linspace(self, start, stop, num):
-        with np.errstate(invalid="ignore"):
-            got = bounds._linspace(start, stop, num)
-            want = np.linspace(start, stop, num)
-        assert got.tobytes() == want.tobytes()
+
+class TestBuiltInPredicate:
+    """A member that ``make_model`` built is decided by an O(1) predicate;
+    the sampled check of an unmarked copy is its oracle."""
+
+    @settings(max_examples=1000, deadline=None, derandomize=True)
+    @given(m=st.one_of(
+        log_uniform(3e-309, 1.0).map(lambda k: sp.model("kappa", kappa=k)),
+        log_uniform(1e-300, 1e300).map(lambda s: sp.model("scaled", scale=s)),
+        st.sampled_from(["nonrel", "stiff"]).map(sp.model)),
+        n=st.sampled_from([1, 2, 200]))
+    def test_predicate_equals_sampled_check(self, m, n):
+        copy = dataclasses.replace(m)
+        assert m.built_in and not copy.built_in
+        assert (hypothesis_outcome(check_hypotheses, m, n)
+                == hypothesis_outcome(check_hypotheses, copy, n))
+
+    @pytest.mark.parametrize("family, kw", [
+        ("scaled", {"scale": s})
+        for s in (4.8e10, 6e10, 6.3e10, 3e11, 1e12, 1e300, 1e-300)] + [
+        ("kappa", {"kappa": k}) for k in (3e-309, 1e-308, 1e-300, 1e-10)])
+    def test_edge_members(self, family, kw):
+        m = sp.model(family, **kw)
+        assert (hypothesis_outcome(check_hypotheses, m, 200)
+                == hypothesis_outcome(check_hypotheses,
+                                      dataclasses.replace(m), 200))
+
+    def test_marked_member_evaluates_no_array(self, each_model):
+        ndims = []
+
+        def recording(f):
+            def wrapped(x):
+                ndims.append(np.ndim(x))
+                return f(x)
+            return wrapped
+
+        m = sp.make_model(each_model.spec)
+        for name in ("a", "b", "r", "a_prime", "b_prime", "A", "B", "H"):
+            object.__setattr__(m, name, recording(getattr(m, name)))
+        check_hypotheses(m)
+        assert all(d == 0 for d in ndims)
+        check_hypotheses(dataclasses.replace(m))
+        assert any(d == 1 for d in ndims)
 
 
 class TestTwoOrdinateSlopeCheck:
@@ -689,117 +714,12 @@ class TestSweep:
         assert path.read_bytes() == want.read_bytes()
 
 
-class TestRowLinspace:
-    """``_row_linspace`` builds the rows of the batched grids; row i must
-    equal ``_linspace`` on the ends of row i bit for bit."""
-
-    @staticmethod
-    def assert_rows_equal(starts, stops, num):
-        with np.errstate(all="ignore"):
-            got = bounds._row_linspace(np.array(starts)[:, None],
-                                       np.array(stops)[:, None], num)
-            want = [bounds._linspace(a, b, num)
-                    for a, b in zip(starts, stops)]
-        assert got.shape == (len(starts), num)
-        for row, w in zip(got, want):
-            assert row.tobytes() == w.tobytes()
-
-    @settings(max_examples=200, deadline=None)
-    @given(ends=st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
-                         min_size=1, max_size=8),
-           num=st.integers(1, 900))
-    def test_rows_are_linspace(self, ends, num):
-        self.assert_rows_equal(*zip(*ends), num)
-
-    @pytest.mark.parametrize("num", [1, 2, 7, 800])
-    def test_subnormal_step_rows_among_normal_rows(self, num):
-        # the step of the first two rows underflows to zero, so those
-        # rows divide first; the others multiply
-        self.assert_rows_equal(
-            [0.0, 1.0, 0.0, 2.0, 0.0, math.nan, 0.0],
-            [5e-324, 1.0, 1.0, 1.0, math.inf, 1.0, 1e-300], num)
-
-    def test_float_ends_give_one_row(self):
-        got = bounds._row_linspace(0.0, 0.95, 800)
-        assert got.tobytes() == bounds._linspace(0.0, 0.95, 800).tobytes()
-
-
-def finite_members():
-    """``drawn_models`` without ``nonrel``: the batch needs a finite
-    x_max."""
-    return drawn_models().filter(lambda m: math.isfinite(m.x_max))
-
-
-class TestBatchedHypotheses:
-    """``_hypotheses_hold`` gives the verdict of ``check_hypotheses`` for
-    each member of a stack; a failing member is re-checked one by one."""
-
-    @settings(max_examples=60, deadline=None)
-    @given(members=st.lists(st.one_of(
-        finite_members(),
-        # x_max = 1e-12: the r sample leaves the domain
-        st.just(sp.model("scaled", scale=1e12)),
-        st.sampled_from(sorted(hand_built_models(sp.model("stiff"))))),
-        min_size=1, max_size=bounds.SWEEP_CHUNK),
-        n=st.sampled_from([1, 2, 3, 200]))
-    def test_mixed_batch_matches_scalar_verdicts(self, members, n):
-        bad = hand_built_models(sp.model("stiff"))
-        members = [bad[m] if isinstance(m, str) else m for m in members]
-        with np.errstate(all="ignore"):
-            want = [hypothesis_outcome(check_hypotheses, m, n)
-                    for m in members]
-            got = bounds._hypotheses_hold(stacked(members), n)
-            assert got.tolist() == [w is None for w in want]
-            # the first failing member: re-checked alone, it raises what
-            # the oracle raises, witness included
-            failing = [m for m, ok in zip(members, got) if not ok]
-            if failing:
-                assert hypothesis_outcome(check_hypotheses, failing[0], n) \
-                    == hypothesis_outcome(reference_check_hypotheses,
-                                          failing[0], n) is not None
-
-    def test_kappa_column_rows_pass(self):
-        col = np.geomspace(1e-4, 1.0, 8)[:, None]
-        p = sp.models.relativistic(col, 1.0)
-        assert bounds._hypotheses_hold(p).tolist() == [True] * 8
-
-    def test_column_z_takes_float_power(self):
-        # for these kappa C pow((k + 1), 2) and (k + 1) * (k + 1) round
-        # differently; the column z must be the float z
-        ks = [0.3795, 0.6658, 0.4437, 0.0204]
-        assert all((k + 1.0) ** 2 != (k + 1.0) * (k + 1.0) for k in ks)
-        p = sp.models.relativistic(np.array(ks)[:, None], 1.0)
-        assert p.z.ravel().tolist() == [sp.model("kappa", kappa=k).z
-                                        for k in ks]
-
-    @settings(max_examples=100, deadline=None)
-    @given(ks=st.lists(st.floats(-12.0, 0.0).map(lambda e: 10.0 ** e),
-                       min_size=1, max_size=8),
-           e_scale=st.floats(-3.0, 3.0))
-    def test_relativistic_rows_equal_make_model(self, ks, e_scale):
-        # the constants of a column of members are those of each member,
-        # bit for bit, and their callables agree on every row
-        s = 10.0 ** e_scale
-        p = sp.models.relativistic(np.array(ks)[:, None], s)
-        xs = np.linspace(0.0, 0.9 / s, 50)
-        for i, k in enumerate(ks):
-            q = sp.models.relativistic(k, s)
-            for name in ("beta", "gamma", "P", "c", "gs", "x_max", "z", "w",
-                         "x0", "a0"):
-                assert float.hex(float(np.broadcast_to(
-                    getattr(p, name), (len(ks), 1))[i, 0])) \
-                    == float.hex(getattr(q, name)), name
-            for name in ("a", "b", "r", "a_prime", "b_prime"):
-                assert getattr(p, name)(xs)[i].tobytes() \
-                    == getattr(q, name)(xs).tobytes(), name
-
-
 class TestBatchedSweep:
-    """``kappa_sweep`` checks hypotheses in chunks; every row and every
-    error equals the one-``bound_X``-per-row oracle."""
+    """``kappa_sweep`` computes each row by ``bound_X``; every row and
+    every error equals the one-``bound_X``-per-row oracle."""
 
     @settings(max_examples=40, deadline=None)
-    @given(n=st.integers(2, 2 * bounds.SWEEP_CHUNK + 3),
+    @given(n=st.integers(2, 131),
            ea=st.floats(-4.0, 0.0),
            eb=st.floats(-4.0, 0.0),
            order=st.sampled_from(["ascending", "descending", "constant"]))
@@ -826,59 +746,37 @@ class TestBatchedSweep:
         assert str(err.value).startswith(
             "kappa = 1e-06 (row 3 of 3): closed form X = ")
 
-    def test_passing_sweep_checks_in_batches(self, monkeypatch):
-        # a passing row takes its bound from the batch's columns: it
-        # builds no ModelSpec or SystemModel
-        calls = {"scalar": 0, "batch": 0, "spec": 0, "model": 0}
-        scalar, batch = bounds.check_hypotheses, bounds._hypotheses_hold
-        post_init, init = ModelSpec.__post_init__, SystemModel.__init__
+    def test_each_row_is_one_bound_X(self, monkeypatch):
+        # one bound path: every row is bound_X of a member of make_model
+        calls = []
+        original = bounds.bound_X
 
-        def counting(key, fn):
-            def wrapped(*args, **kwargs):
-                calls[key] += 1
-                return fn(*args, **kwargs)
-            return wrapped
+        def counting(m):
+            calls.append((m.spec.kappa, m.built_in))
+            return original(m)
 
-        monkeypatch.setattr(bounds, "check_hypotheses",
-                            counting("scalar", scalar))
-        monkeypatch.setattr(bounds, "_hypotheses_hold",
-                            counting("batch", batch))
-        monkeypatch.setattr(ModelSpec, "__post_init__",
-                            counting("spec", post_init))
-        monkeypatch.setattr(SystemModel, "__init__", counting("model", init))
-        # one batch for the longest bench sweep; three, the last of 3
-        # rows, just past two full chunks
-        for n in (40, 2 * bounds.SWEEP_CHUNK + 3):
-            ks = [0.02 + (1.0 - 0.02) * i / (n - 1) for i in range(n)]
-            want = hex_rows(reference_kappa_sweep(ks))
-            assert calls["model"] >= n  # the oracle builds one per row
-            calls.update(scalar=0, batch=0, spec=0, model=0)
-            assert hex_rows(kappa_sweep(ks)) == want
-            assert calls == {"scalar": 0,
-                             "batch": math.ceil(n / bounds.SWEEP_CHUNK),
-                             "spec": 0, "model": 0}, n
+        monkeypatch.setattr(bounds, "bound_X", counting)
+        ks = [0.02 + (1.0 - 0.02) * i / 39 for i in range(40)]
+        rows = kappa_sweep(ks)
+        assert calls == [(k, True) for k in ks]
+        monkeypatch.undo()
+        assert hex_rows(rows) == hex_rows(reference_kappa_sweep(ks))
 
-    def test_failing_rows_rechecked_in_order(self, monkeypatch):
-        # the batch fails rows 2 and 12; the scalar check passes row 2
-        # and raises on row 12 with a witness, which the sweep keeps
+    def test_failing_row_keeps_its_witness(self, monkeypatch):
+        # the rows run in order; the first failing one ends the sweep
+        # with its error and witness, its message prefixed
         checked = []
-
-        def batch(p, n=200):
-            k = p.beta.ravel()
-            return ~np.isin(k, [sp.models.relativistic(0.2, 1.0).beta,
-                                sp.models.relativistic(0.7, 1.0).beta])
 
         def scalar(m, n=200):
             checked.append(m.spec.kappa)
             if m.spec.kappa == 0.7:
                 raise sp.HypothesisError("b < 0 at x = 0.5", point=(0.5,))
 
-        monkeypatch.setattr(bounds, "_hypotheses_hold", batch)
         monkeypatch.setattr(bounds, "check_hypotheses", scalar)
         ks = [0.1, 0.2] + [0.3] * 9 + [0.7, 0.8]
         with pytest.raises(sp.HypothesisError) as err:
             kappa_sweep(ks)
-        assert checked == [0.2, 0.7]
+        assert checked == ks[:12]
         assert str(err.value) == "kappa = 0.7 (row 12 of 13): b < 0 at x = 0.5"
         assert err.value.point == (0.5,)
 

@@ -5,7 +5,6 @@ import subprocess
 import sys
 import warnings
 
-import numpy as np
 import pytest
 
 import starphase as sp
@@ -68,6 +67,17 @@ class TestBound:
         assert doc["X_numeric"] == pytest.approx(0.6934159639728907,
                                                  abs=1e-12)
         assert doc["agreement"] <= 1e-9
+
+    @pytest.mark.parametrize("scale", ["6e10", "1e11", "3e11", "1e12"])
+    def test_tiny_member_exit_3(self, capsys, scale):
+        # 0.95 x_max, the r sample's largest x, lies at or beyond
+        # x_max - DOMAIN_GUARD, so the hypotheses check refuses the member
+        # before the bound's two routes can disagree
+        code, out, err = run(capsys, "bound", "--model", "scaled",
+                             "--scale", scale)
+        assert code == 3 and out == ""
+        assert err == (f"error: x outside [0, {1.0 / float(scale)!r}) "
+                       "for family 'scaled'\n")
 
     @pytest.mark.parametrize("kappa", ["1e-10", "1e-6"])
     def test_closed_form_disagreement_exit_4(self, capsys, kappa):
@@ -220,8 +230,6 @@ class TestBound:
         def failing(m, n=200):
             raise sp.HypothesisError("b < 0 at x = 0.5", point=(0.5,))
 
-        monkeypatch.setattr(sp.bounds, "_hypotheses_hold",
-                            lambda p, n=200: np.zeros(len(p.beta), bool))
         monkeypatch.setattr(sp.bounds, "check_hypotheses", failing)
         code, _, err = run(capsys, "bound", "--model", "kappa",
                            "--sweep-kappa", "0.2:1:3")

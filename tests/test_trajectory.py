@@ -600,6 +600,15 @@ class TestArrivalPretest:
                 log_free += not got and counting.logs == logs
         assert log_free >= len(far) // 2
 
+    @pytest.mark.parametrize("y", [5e-324, 1e-310, 0.0])
+    def test_underflowing_ratio_is_a_rejection(self, models, y):
+        # inside the ball's reach of the log-free test, y/z underflowed to
+        # 0 at y = 5e-324 and math.log raised "math domain error"; V is
+        # huge there, so the state is no arrival
+        m = models["nonrel"]
+        arrived = arrival_test(m, IntegratorConfig(converge_radius=3.0))
+        assert arrived(10.0, y) is False
+
     def test_skips_most_level_map_calls(self, models):
         m = models["stiff"]
         calls = [0]
