@@ -148,9 +148,7 @@ def check_hypotheses(m: SystemModel, n: int = 200) -> None:
     TypeError for an n that is not an integer and ValueError for n
     below 1.
     """
-    n = operator.index(n)
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+    n = _sample_count(n)
     if m.a0 <= 0.0:
         raise HypothesisError(f"a(0) = {m.a0} is not positive")
     w = find_w(m)  # also enforces (a0+1)w > z >= w > 0
@@ -187,19 +185,35 @@ def check_hypotheses(m: SystemModel, n: int = 200) -> None:
             f"(a0+1) w b(x) >= a(x) - a(0) fails at x = {xs_w[i]}",
             point=(float(xs_w[i]),))
 
-    # a' and b' depend on x only, and the rounded a' - b' y is monotone
-    # in y: on each abscissa its maximum over y in [z, (a0+1) w] is at one
-    # of the two ends, bit for bit, so testing those two ordinates decides
-    # the condition as any mesh of ordinates would
+    point = _slope_witness(m, w, n)
+    if point is not None:
+        raise HypothesisError(f"a' - b' y < 0 fails at {point}", point=point)
+
+
+def _sample_count(n) -> int:
+    """n as a sample count: TypeError unless an integer, ValueError below 1."""
+    n = operator.index(n)
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
+    return n
+
+
+def _slope_witness(m: SystemModel, w: float, n: int) -> tuple | None:
+    """The worst point (x, y) of [w, z] x [z, (a0+1) w] where a' - b' y < 0
+    fails, or None: an identity for a member of ``make_model``, else
+    sampled at n abscissae and the two end ordinates, which decide bit for
+    bit as a' and b' depend on x only and the rounded a' - b' y is monotone
+    in y."""
+    if m.built_in:
+        return None
     xr = np.linspace(w, m.z, n)[:, None]
     yr = np.array([m.z, (m.a0 + 1.0) * w])
     slope_cond = np.asarray(m.a_prime(xr), dtype=float) \
         - np.asarray(m.b_prime(xr), dtype=float) * yr
-    if (slope_cond >= 0.0).any():
-        i, j = np.unravel_index(int(np.argmax(slope_cond)), slope_cond.shape)
-        raise HypothesisError(
-            f"a' - b' y < 0 fails at ({xr[i, 0]}, {yr[j]})",
-            point=(float(xr[i, 0]), float(yr[j])))
+    if not (slope_cond >= 0.0).any():
+        return None
+    i, j = np.unravel_index(int(np.argmax(slope_cond)), slope_cond.shape)
+    return float(xr[i, 0]), float(yr[j])
 
 
 @dataclass(frozen=True)

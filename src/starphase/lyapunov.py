@@ -60,7 +60,7 @@ def lyapunov_derivative(m: SystemModel, x, y):
 def H(m: SystemModel, x):
     """Level map H(x) = z B(x) - A(x) for x >= z; strictly increasing."""
     x_arr = np.asarray(x, dtype=float)
-    if np.any(x_arr < m.z - 1e-12):
+    if not np.all(x_arr >= m.z - 1e-12):
         raise DomainError(f"H is defined for x >= z = {m.z}")
     m.check_x(x)
     val = m.H(x_arr)

@@ -77,7 +77,9 @@ class ModelSpec:
         values below about 2.8e-309, where beta = (1 + kappa)/(2 kappa)
         overflows.
     scale : float, optional
-        Positive rescaling sigma for ``scaled`` (default 8 pi).
+        Positive rescaling sigma for ``scaled`` (default 8 pi); values
+        below about 5.6e-309, where x_max = 1/sigma overflows, are
+        rejected.
     """
 
     family: Family
@@ -104,6 +106,10 @@ class ModelSpec:
             if not (math.isfinite(self.scale) and self.scale > 0.0):
                 raise ValueError(
                     f"scale must be positive and finite, got {self.scale}")
+            if 1.0 / float(self.scale) == math.inf:
+                raise ValueError(
+                    f"scale = {self.scale} is too small: x_max = 1 / scale"
+                    " overflows")
         elif self.scale is not None:
             raise ValueError("scale is only meaningful for the scaled family")
 
@@ -188,19 +194,21 @@ class SystemModel:
         return self.spec.family
 
     def check_x(self, x) -> None:
-        """Reject x outside [0, x_max - DOMAIN_GUARD)."""
+        """Reject x outside [0, x_max - DOMAIN_GUARD), NaN included."""
         x = np.asarray(x, dtype=float)
-        if np.any(x < 0.0) or np.any(x >= self.x_max - DOMAIN_GUARD):
+        if not np.all((0.0 <= x) & (x < self.x_max - DOMAIN_GUARD)):
             raise DomainError(
                 f"x outside [0, {self.x_max}) for family '{self.family.value}'")
 
     def check_xy(self, x, y, y_positive: bool = False) -> None:
+        """``check_x``, and reject y that is not finite and nonnegative
+        (positive with ``y_positive``)."""
         self.check_x(x)
         y = np.asarray(y, dtype=float)
-        lo = 0.0
-        if (np.any(y < lo) if not y_positive else np.any(y <= lo)):
-            raise DomainError("y must be " +
-                              ("positive" if y_positive else "nonnegative"))
+        ok = (0.0 < y) if y_positive else (0.0 <= y)
+        if not np.all(ok & (y < math.inf)):
+            sign = "positive" if y_positive else "nonnegative"
+            raise DomainError(f"y must be {sign} and finite")
 
 
 def make_model(spec: ModelSpec) -> SystemModel:
@@ -218,7 +226,8 @@ def make_model(spec: ModelSpec) -> SystemModel:
         a_prime = lambda x: np.asarray(x, dtype=float) * 0.0 - 1.0
         b_prime = lambda x: np.asarray(x, dtype=float) * 0.0
         # A(z) = 4 - 2 - 2 = 0 and B = 0 exactly
-        A = lambda x: 2.0 * x - np.square(x) / 2.0 - 2.0
+        # x * x equals np.square(x) bit for bit, and keeps a float a float
+        A = lambda x: 2.0 * x - x * x / 2.0 - 2.0
         B = lambda x: np.asarray(x, dtype=float) * 0.0
         r = lambda x: x * 0.0 + 1.0
         # z B(x) is +0.0 on the domain, so z B(x) - A(x) is 0.0 - A(x)

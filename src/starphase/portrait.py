@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DomainError
 from .lyapunov import LevelSetGrid, level_set_grid, write_grid_csv
-from .models import SystemModel
+from .models import SystemModel, eval_field
 
 
 def default_ranges(m: SystemModel):
@@ -51,11 +51,8 @@ def field_grid(m: SystemModel, x_range, y_range, nx: int, ny: int):
     W = np.full_like(X, np.nan)
     v = grid.valid
     if v.any():
-        # y - x cannot overflow, since x >= 0 and y > 0 on valid nodes
-        U[v] = Y[v] - X[v]
         with np.errstate(over="ignore", invalid="ignore"):
-            W[v] = np.asarray(m.a(X[v]), dtype=float) * Y[v] \
-                - np.asarray(m.b(X[v]), dtype=float) * np.square(Y[v])
+            U[v], W[v] = eval_field(m, X[v], Y[v])
         bad = np.count_nonzero(~np.isfinite(W[v]))
         if bad:
             raise DomainError(

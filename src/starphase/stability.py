@@ -45,12 +45,7 @@ def linearize_origin(m: SystemModel):
 
 def interior_jacobian(m: SystemModel) -> np.ndarray:
     """Jacobian [[-1, 1], [a'(z) z - b'(z) z^2, a(z) - 2 b(z) z]] at (z, z)."""
-    z = m.z
-    return np.array([
-        [-1.0, 1.0],
-        [float(m.a_prime(z)) * z - float(m.b_prime(z)) * z * z,
-         float(m.a(z)) - 2.0 * float(m.b(z)) * z],
-    ])
+    return _interior(m)[0]
 
 
 def linearize_interior(m: SystemModel):
@@ -64,8 +59,17 @@ def linearize_interior(m: SystemModel):
     classification : str
         One of ``"stable spiral"``, ``"stable node"``, ``"unstable"``.
     """
-    az = float(m.a(m.z))
-    disc = (1.0 - az) ** 2 - 4.0 * m.z * r_at_z(m)
+    return _interior(m)[:3]
+
+
+def _interior(m: SystemModel):
+    """``linearize_interior`` and the discriminant, from one a(z) and r(z)."""
+    z = m.z
+    az = float(m.a(z))
+    jac = np.array([[-1.0, 1.0],
+                    [float(m.a_prime(z)) * z - float(m.b_prime(z)) * z * z,
+                     az - 2.0 * float(m.b(z)) * z]])
+    disc = (1.0 - az) ** 2 - 4.0 * z * r_at_z(m)
     root = cmath.sqrt(complex(disc))
     lam_plus = (-(1.0 + az) + root) / 2.0
     lam_minus = (-(1.0 + az) - root) / 2.0
@@ -73,7 +77,7 @@ def linearize_interior(m: SystemModel):
         cls = STABLE_SPIRAL if lam_plus.real < 0.0 else UNSTABLE
     else:
         cls = STABLE_NODE if max(lam_plus.real, lam_minus.real) < 0.0 else UNSTABLE
-    return interior_jacobian(m), (lam_plus, lam_minus), cls
+    return jac, (lam_plus, lam_minus), cls, disc
 
 
 def jacobian_fd(m: SystemModel, x: float, y: float, h: float = 1e-5) -> np.ndarray:
@@ -135,9 +139,7 @@ class StabilityReport:
 def stability_report(m: SystemModel) -> StabilityReport:
     """Assemble the report for both stationary points."""
     pairs, slope = linearize_origin(m)
-    jac, eigs, cls = linearize_interior(m)
-    az = float(m.a(m.z))
-    disc = (1.0 - az) ** 2 - 4.0 * m.z * r_at_z(m)
+    jac, eigs, cls, disc = _interior(m)
     return StabilityReport(
         origin_eigenpairs=pairs,
         unstable_slope=slope,

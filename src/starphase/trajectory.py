@@ -7,13 +7,13 @@ with the adaptive embedded pair until it enters a small ball around
 for spiralling approaches).  The module also verifies the trap-region
 geometry that underlies the analytic x bound: the field points below
 the unstable tangent line, upward on the diagonal, and the y' = 0
-isocline is a nonincreasing graph x(y).
+isocline is a decreasing graph x(y), by the slope fact a' - b' y < 0.
 
 The Lyapunov arrival test reads V = H(x) + y - z - L <= v, L = z log(y/z),
-v = ``v_threshold``.  Since H >= 0 with its minimum 0 at z, it first
-compares G = y - z - L with v + delta and skips H while G is above.
-The margin is delta = 1e-9 (v + y + z) + 1e-12 l, with l = x_max (z on
-the unbounded ``nonrel`` domain).  It covers three things:
+v = ``v_threshold``.  Since H >= 0 with its minimum 0 at z, a state whose
+G = y - z - L exceeds v + delta is no arrival, whatever H is.  The
+margin is delta = 1e-9 (v + y + z) + 1e-12 l, with l = x_max (z on the
+unbounded ``nonrel`` domain).  It covers three things:
 
 * The rounding of G and of V.  Both subtract the same float L, so with
   unit roundoff u = 2^-53 the float V is at least (1 - u)(G (1 - u) +
@@ -25,10 +25,9 @@ the unbounded ``nonrel`` domain).  It covers three things:
   [1e-10, 1] and scale in [1e-6, 1e12], it is at most 6.8e-16 l.
 * The rounding of the threshold itself, a relative 3u.
 
-The two parts of delta exceed these bounds by factors above 300.  So the
-pre-test never turns an arrival into a miss, and the shoot returns the
-same bits as with H evaluated on every step, while calling H on about
-one accepted step in ten.
+The two parts of delta exceed these bounds by factors above 300, so the
+float G above the float T = v (1 + 1e-9) + 1e-12 l + 1e-9 (y + z) gives
+the float V above v.
 
 Before the ball and the log, a log-free test rejects most states.  With
 d = y - z and M = max(y, z), for y > 0
@@ -39,8 +38,7 @@ d = y - z and M = max(y, z), for y > 0
 derivative (t - 1)^2/(2 t^2) >= 0; for t <= 1, t - 1 - log t - (t - 1)^2/2
 vanishes at 1 and has derivative -(t - 1)^2/t <= 0.)  The test returns
 False when the float d*d exceeds both r^2 raised by one float and
-2 M (v_skip + 1e-9 (y + z)) (1 + mu), mu = 1e-3, where v_skip + 1e-9
-(y + z) = T is the threshold of the G test above.
+2 M T (1 + mu), mu = 1e-3.
 
 * The ball test's float d**2 and d*d are faithful roundings of the same
   square, so they are equal or adjacent floats: d*d above r^2 raised by
@@ -54,11 +52,12 @@ False when the float d*d exceeds both r^2 raised by one float and
   (y + z), the float G exceeds the float T as soon as mu >= 5.6e-7;
   mu = 1e-3 exceeds that by a factor above 1000.
 
-So wherever the log-free test rejects, the G test rejects too and the
-shoot's bits are unchanged.  The argument takes y - z, y/z, its log and
-z log(y/z) to be normal floats, as on every state a shoot reaches.  A
-state with y > 0 whose y/z underflows to 0 is rejected before the log:
-there V is far above any threshold.
+So wherever the log-free test rejects, the float V is above v, and the
+shoot's bits are those of the test with H evaluated on every step; H
+runs on about one accepted step in ten.  The argument takes y - z, y/z,
+its log and z log(y/z) to be normal floats, as on every state a shoot
+reaches.  A state with y > 0 whose y/z underflows to 0 is rejected
+before the log: there V is far above any threshold.
 """
 
 from __future__ import annotations
@@ -69,6 +68,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import integrate
+from .bounds import _sample_count, _slope_witness
 from .errors import DomainError
 from .lyapunov import lyapunov_value
 from .models import SystemModel, eval_field, find_w
@@ -190,15 +190,11 @@ def shoot_heteroclinic(m: SystemModel,
 
     r2 = cfg.converge_radius ** 2
     v = cfg.v_threshold
-    # the arrival pre-test's margin delta, less its 1e-9 (y + z) part
-    # (module docstring)
-    ell = m.x_max if math.isfinite(m.x_max) else z
-    v_skip = v * (1.0 + 1e-9) + 1e-12 * ell
     # the log-free test compares d^2 with r^2 up one float and with
-    # 2 M (1 + mu) (v_skip + 1e-9 (y + z)) = M (c0 + c1 (y + z)),
-    # mu = 1e-3 (module docstring)
+    # 2 M T (1 + mu) = M (c0 + c1 (y + z)) (module docstring)
+    ell = m.x_max if math.isfinite(m.x_max) else z
     r2_up = math.nextafter(r2, math.inf)
-    c0, c1 = 2.002 * v_skip, 2.002e-9
+    c0, c1 = 2.002 * (v * (1.0 + 1e-9) + 1e-12 * ell), 2.002e-9
 
     def arrived(x, y):
         # V on floats; the field validated this state at the FSAL stage
@@ -211,11 +207,7 @@ def shoot_heteroclinic(m: SystemModel,
         q = y / z
         if not q > 0.0:  # y <= 0, or y/z underflows: V is far above v
             return False
-        L = z * math.log(q)
-        # H >= 0: V <= v needs y - z - L <= v + delta, so H is skipped
-        if d - L > v_skip + 1e-9 * (y + z):
-            return False
-        return H(x) + y - z - L <= v
+        return H(x) + y - z - z * math.log(q) <= v
 
     sol = integrate.integrate_adaptive(
         m.field, 0.0, y0, cfg.max_time, rtol=cfg.rel_tol, atol=cfg.abs_tol,
@@ -289,10 +281,13 @@ def check_trap_region(m: SystemModel, n: int = 1000,
                       tol: float = 1e-9) -> TrapRegionReport:
     """Sample the three geometric facts behind the trap-region argument.
 
-    Raises ValueError for n below 1 or a NaN ``tol``.
+    On the y' = 0 isocline dx/dy = b/(a' - b' y), so with b > 0 it is a
+    decreasing graph x(y) where ``check_hypotheses``' slope fact holds
+    (``bounds._slope_witness``).  A NaN margin is a violation: ``passed``
+    is ``violation is None``.  Raises TypeError for an n that is not an
+    integer, ValueError for n below 1 or a NaN ``tol``.
     """
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+    n = _sample_count(n)
     if tol != tol:
         raise ValueError("tol must be a number, got nan")
     w = find_w(m)
@@ -304,35 +299,26 @@ def check_trap_region(m: SystemModel, n: int = 1000,
     dx, dy = eval_field(m, xs, ys)
     margins = dy / dx - slope
     line_margin = float(margins.max())
-    if line_margin > tol:
+    if not line_margin <= tol:
         i = int(np.argmax(margins))
         violation = ("line", float(xs[i]), float(ys[i]))
 
+    # on y = x the field's dx = y - x is exactly 0.0
     xs_d = np.linspace(m.z / n, m.z, n)
-    dx_d, dy_d = eval_field(m, xs_d, xs_d)
-    if np.any(dx_d != 0.0):
-        i = int(np.argmax(np.abs(dx_d)))
-        violation = violation or ("diagonal-dx", float(xs_d[i]), float(xs_d[i]))
+    dy_d = eval_field(m, xs_d, xs_d)[1]
     diagonal_min = float(dy_d.min())
-    if diagonal_min < -1e-12:
+    if not diagonal_min >= -1e-12:
         i = int(np.argmin(dy_d))
         violation = violation or ("diagonal", float(xs_d[i]), float(xs_d[i]))
 
-    if m.b_is_zero:
-        isocline_monotone = None
-    else:
-        ys_i = np.linspace(m.z, slope * w, n)
-        xi = isocline_x(m, ys_i)
-        isocline_monotone = bool(np.all(np.diff(xi) <= 1e-12))
-        if not isocline_monotone:
-            j = int(np.argmax(np.diff(xi)))
-            violation = violation or ("isocline", float(xi[j]), float(ys_i[j]))
+    point = None if m.b_is_zero else _slope_witness(m, w, n)
+    if point is not None:
+        violation = violation or ("isocline", *point)
 
-    passed = (line_margin <= tol and diagonal_min >= -1e-12
-              and isocline_monotone is not False and violation is None)
-    return TrapRegionReport(line_margin=line_margin, diagonal_min=diagonal_min,
-                            isocline_monotone=isocline_monotone,
-                            violation=violation, passed=passed)
+    return TrapRegionReport(
+        line_margin=line_margin, diagonal_min=diagonal_min,
+        isocline_monotone=None if m.b_is_zero else point is None,
+        violation=violation, passed=violation is None)
 
 
 def isocline_x(m: SystemModel, y):

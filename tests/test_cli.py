@@ -79,6 +79,17 @@ class TestBound:
         assert err == (f"error: x outside [0, {1.0 / float(scale)!r}) "
                        "for family 'scaled'\n")
 
+    @pytest.mark.parametrize("scale", ["1e-310", "5e-324"])
+    def test_scale_whose_x_max_overflows_exit_3(self, capsys, scale):
+        # numpy warned in log1p, then the w sign test failed on z = inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "bound", "--model", "scaled",
+                                 "--scale", scale)
+        assert code == 3 and out == ""
+        assert err == (f"error: scale = {float(scale)!r} is too small: "
+                       "x_max = 1 / scale overflows\n")
+
     @pytest.mark.parametrize("kappa", ["1e-10", "1e-6"])
     def test_closed_form_disagreement_exit_4(self, capsys, kappa):
         code, out, err = run(capsys, "bound", "--model", "kappa",

@@ -123,6 +123,40 @@ class TestH:
             sp.H(models["stiff"], 0.4)
 
 
+#: the domain-checked entry points, each with the argument v in one
+#: place and valid values (x = 0.6 z, y = 0.5) in the others
+NON_FINITE_CALLS = {
+    "H": lambda m, v: sp.H(m, v),
+    "lyapunov_value(x)": lambda m, v: sp.lyapunov_value(m, v, 0.5),
+    "lyapunov_value(y)": lambda m, v: sp.lyapunov_value(m, 0.6 * m.z, v),
+    "eval_field(x)": lambda m, v: sp.eval_field(m, v, 0.5),
+    "eval_field(y)": lambda m, v: sp.eval_field(m, 0.6 * m.z, v),
+    "r_factor": lambda m, v: sp.r_factor(m, v),
+    "lyapunov_derivative":
+        lambda m, v: sp.lyapunov_derivative(m, 0.6 * m.z, v),
+    "lyapunov_gradient": lambda m, v: sp.lyapunov_gradient(m, v, v),
+}
+
+
+class TestNonFiniteInput:
+    """NaN failed none of the domain comparisons, so these calls returned
+    NaN; +inf passed the y checks."""
+
+    @pytest.mark.parametrize("name", list(NON_FINITE_CALLS))
+    @pytest.mark.parametrize("v", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("as_array", [False, True])
+    def test_rejected(self, each_model, name, v, as_array):
+        arg = np.array([1.2 * each_model.z, v]) if as_array else v
+        with pytest.raises(sp.DomainError):
+            NON_FINITE_CALLS[name](each_model, arg)
+
+    @pytest.mark.parametrize("name", list(NON_FINITE_CALLS))
+    def test_finite_arrays_accepted(self, each_model, name):
+        # the valid companion of the array case above
+        arg = np.array([1.2 * each_model.z, 1.1 * each_model.z])
+        assert np.all(np.isfinite(NON_FINITE_CALLS[name](each_model, arg)))
+
+
 class TestLevelSetGrid:
     def test_matches_pointwise_values(self, models):
         m = models["stiff"]

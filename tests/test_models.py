@@ -70,6 +70,21 @@ class TestModelSpec:
         with pytest.raises(ValueError, match="kappa"):
             sp.model("kappa", kappa=kappa)
 
+    @pytest.mark.parametrize("scale", [5.5e-309, 1e-310, 5e-324])
+    def test_scale_whose_x_max_overflows(self, scale):
+        # 1/scale overflowed: make_model warned in log1p and built a member
+        # with z = inf and NaN primitives
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"scale = {scale!r} is too "
+                               "small: x_max = 1 / scale overflows"):
+                sp.model("scaled", scale=scale)
+
+    def test_smallest_scale_with_finite_x_max_accepted(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert sp.model("scaled", scale=5.6e-309).x_max < math.inf
+
     def test_default_scale_is_8pi(self):
         spec = sp.ModelSpec(sp.Family.SCALED_RELATIVISTIC)
         assert spec.scale == 8.0 * math.pi
@@ -180,6 +195,12 @@ class TestFamilies:
         for name, m in models.items():
             assert type(m.a(0.25 * m.z)) is float, name
             assert type(m.b(0.25 * m.z)) is float, name
+
+    def test_level_map_keeps_float_type(self, models):
+        # the shoot's arrival test compares m.H(x) on a float and returns
+        # a plain bool
+        for name, m in models.items():
+            assert type(m.H(1.5 * m.z)) is float, name
 
 
 class TestEvalField:

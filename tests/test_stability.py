@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 import starphase as sp
 from starphase import stability
+from starphase.models import r_at_z
 
 SQRT3 = math.sqrt(3.0)
 SQRT7 = math.sqrt(7.0)
@@ -141,3 +143,27 @@ class TestReport:
         back = json.loads(text)
         assert back["origin"]["eigenvalues"] == [-1.0, 2.0]
         assert back["interior"]["classification"] == "stable spiral"
+
+    def test_evaluates_a_and_r_once(self, each_model):
+        # the report recomputed a(z) and the discriminant after
+        # linearize_interior had computed them
+        calls = {"a": 0, "a_prime": 0}
+
+        def counting(name):
+            f = getattr(each_model, name)
+
+            def wrapped(x):
+                calls[name] += 1
+                return f(x)
+            return wrapped
+
+        m = dataclasses.replace(each_model, **{k: counting(k) for k in calls})
+        rep = sp.stability_report(m)
+        assert calls == {"a": 1, "a_prime": 2}
+        az = float(m.a(m.z))
+        assert rep.discriminant == (1.0 - az) ** 2 - 4.0 * m.z * r_at_z(m)
+        jac, eigs, cls = sp.linearize_interior(m)
+        assert rep.interior_jacobian.tolist() == jac.tolist()
+        assert rep.interior_eigenvalues == eigs
+        assert rep.interior_classification == cls
+        np.testing.assert_array_equal(stability.interior_jacobian(m), jac)

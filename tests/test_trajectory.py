@@ -15,7 +15,8 @@ from starphase import integrate, trajectory
 from starphase.bounds import closed_form_X
 from starphase.trajectory import IntegratorConfig
 
-from conftest import FAMILY_ARGS, ORBIT_DRAWS, count_root_solves, orbit_case
+from conftest import (FAMILY_ARGS, ORBIT_DRAWS, count_root_solves,
+                      drawn_models, orbit_case)
 
 # scipy DOP853 oracle values (rtol 1e-11), frozen
 ORACLE_MAX_X = {
@@ -286,6 +287,91 @@ class TestTrapRegion:
         with pytest.raises(ValueError, match="tol must be a number"):
             sp.check_trap_region(models["stiff"], tol=math.nan)
 
+    def test_n_must_be_an_integer(self, models):
+        with pytest.raises(TypeError):
+            sp.check_trap_region(models["stiff"], 2.5)
+
+    def test_marked_member_samples_no_slope(self, each_model, monkeypatch):
+        # the slope fact is an identity of make_model's closed forms; the
+        # former verdict sampled isocline_x 1000 times
+        calls = []
+
+        def recording(f):
+            def wrapped(x):
+                calls.append(x)
+                return f(x)
+            return wrapped
+
+        monkeypatch.setattr(trajectory, "isocline_x", None)
+        m = sp.make_model(each_model.spec)
+        for name in ("a_prime", "b_prime"):
+            object.__setattr__(m, name, recording(getattr(m, name)))
+        assert sp.check_trap_region(m).passed
+        assert calls == []
+        assert sp.check_trap_region(dataclasses.replace(m)).passed
+        assert len(calls) == (0 if m.b_is_zero else 2)
+
+    @pytest.mark.parametrize("case", ["a_prime_positive", "sign_change"])
+    def test_hand_built_slope_failure(self, models, case):
+        # the isocline verdict read only x0, a(0) and b(0), so a model
+        # whose own a' - b' y >= 0 on the rectangle passed
+        base = models["stiff"]
+        y_mid = 0.5 * (base.z + (base.a0 + 1.0) * base.w)
+        a_prime = {
+            "a_prime_positive": lambda x: 10.0 + 0.0 * np.asarray(x),
+            "sign_change": lambda x: base.b_prime(x) * y_mid,
+        }[case]
+        m = dataclasses.replace(base, a_prime=a_prime)
+        rep = sp.check_trap_region(m, 50)
+        assert rep.isocline_monotone is False
+        assert rep.passed is False
+        kind, x, y = rep.violation
+        assert kind == "isocline"
+        assert base.w <= x <= base.z and y in (base.z, (base.a0 + 1.0) * base.w)
+        assert m.a_prime(x) - m.b_prime(x) * y >= 0.0
+        assert sp.check_trap_region(base, 50).passed
+
+    @settings(max_examples=80, deadline=None)
+    @given(m=drawn_models(), shift=st.one_of(st.just(0.0),
+                                             st.floats(-1.0, 3.0)),
+           n=st.integers(1, 300))
+    def test_unmarked_verdict_equals_sampled_oracle(self, m, shift, n):
+        # a' raised by shift |a'(z)|: the unmarked copy's verdict is that
+        # of a' - b' y on an n x 7 mesh of [w, z] x [z, (a0+1) w]
+        lift = shift * abs(float(m.a_prime(m.z)))
+        bad = dataclasses.replace(
+            m, a_prime=lambda x: m.a_prime(x) + lift)
+        rep = sp.check_trap_region(bad, n)
+        if m.b_is_zero:
+            assert rep.isocline_monotone is None
+            return
+        xs = np.linspace(m.w, m.z, n).tolist()
+        ys = np.linspace(m.z, (m.a0 + 1.0) * m.w, 7).tolist()
+        conds = [float(bad.a_prime(x)) - float(bad.b_prime(x)) * y
+                 for x in xs for y in ys]
+        holds = all(c < 0.0 for c in conds)
+        assert rep.isocline_monotone is holds
+        if holds:
+            assert rep.violation is None or rep.violation[0] != "isocline"
+        else:
+            assert rep.passed is False
+            if rep.violation[0] == "isocline":
+                _, x, y = rep.violation
+                got = float(bad.a_prime(x)) - float(bad.b_prime(x)) * y
+                assert got == max(conds)
+
+    def test_nan_line_margin_is_a_violation(self, models):
+        # a NaN margin failed no comparison: passed was False with no
+        # violation to show
+        base = models["stiff"]
+        m = dataclasses.replace(base, a=lambda x: np.where(
+            np.asarray(x) < 0.5 * base.w, np.nan, base.a(x)))
+        rep = sp.check_trap_region(m, 100)
+        assert math.isnan(rep.line_margin)
+        assert rep.passed is False
+        kind, x, y = rep.violation
+        assert kind == "line" and x < 0.5 * base.w and y == 3.0 * x
+
     def test_diagonal_stationary_at_z(self, each_model):
         dx, dy = sp.eval_field(each_model, each_model.z, each_model.z)
         assert dx == 0.0
@@ -535,9 +621,9 @@ PRETEST_MEMBERS = {**{name: (name, kw) for name, kw in FAMILY_ARGS.items()},
 
 
 class TestArrivalPretest:
-    """The arrival test skips H while y - z - z log(y/z) exceeds
-    v_threshold by the margin delta; it must never turn an arrival of the
-    former test into a miss."""
+    """The arrival test's log-free pre-test rejects states whose
+    y - z - z log(y/z) provably exceeds v_threshold by the margin delta;
+    it must never turn an arrival of the former test into a miss."""
 
     @pytest.mark.parametrize("name", list(PRETEST_MEMBERS))
     def test_agrees_with_the_former_test(self, name):
