@@ -37,8 +37,8 @@ from . import rootfind
 from .errors import (ConvergenceError, DomainError, HypothesisError,
                      StarphaseError)
 from .lambertw import BRANCH_POINT, lambert_w
-from .models import (DOMAIN_GUARD, Family, ModelSpec, SystemModel, find_w,
-                     find_z, make_model)
+from .models import (Family, ModelSpec, SystemModel, find_w, find_z,
+                     make_model)
 
 #: demanded agreement between the closed form and the H inversion,
 #: relative to X; ``bound_X`` raises above it
@@ -65,34 +65,39 @@ def invert_H(m: SystemModel, level: float) -> float:
     """The unique x >= z with H(x) = level.
 
     H is strictly increasing on [z, x_max), so a bracketed root search
-    suffices; its right bracket end walks toward x_max - DOMAIN_GUARD
+    suffices; its right bracket end walks toward ``m.x_end``
     (geometrically for an unbounded domain, halving the gap otherwise),
-    where H is still defined.  Every probe of the walk and of the solve
-    lies in [z, x_max - DOMAIN_GUARD), so H's domain check is made once,
-    at z.
+    where H is still defined.  Every probe lies in [z, x_end), so H's
+    domain check is made once, at z.  The solve's tolerance is ROOT_XTOL
+    x_max (ROOT_XTOL for ``nonrel``).
 
     Raises
     ------
     DomainError
-        For z outside the domain, for NaN and negative levels, or when
-        the level is unreachable below x_max (the achievable supremum
-        estimate is reported).
+        For z outside the domain, for NaN and negative levels, where H
+        overflows to NaN near x_max, or for a level above H(x_end).
+    ConvergenceError
+        When brentq's budget runs out on a bracket.
     """
-    H, z, x_max = m.H, m.z, m.x_max
-    if not 0.0 <= z < x_max - DOMAIN_GUARD:
+    H, z, x_max, x_end = m.H, m.z, m.x_max, m.x_end
+    if not 0.0 <= z < x_end:
         m.check_x(z)
     if level != level:
         raise DomainError(f"H level must be a number, got {level}")
     if level < 0.0:
         raise DomainError("H levels are nonnegative on [z, x_max)")
+    ell = x_max if x_max < math.inf else 1.0
     try:
-        return rootfind.solve_bracketed(lambda x: H(x) - level,
-                                        z, x_max - DOMAIN_GUARD)
+        return rootfind.solve_bracketed(lambda x: H(x) - level, z, x_end,
+                                        rootfind.ROOT_XTOL * ell)
     except ConvergenceError:
-        sup = H(x_max - 2.0 * max(DOMAIN_GUARD, 1e-15 * x_max)) \
-            if math.isfinite(x_max) else math.inf
+        sup = H(x_end) if x_end < math.inf else math.inf
+        if not sup < level:  # the walk found a bracket; brentq gave up
+            raise
         raise DomainError(
             f"level {level} unreachable below x_max (sup H ~ {sup})") from None
+    except ValueError as exc:
+        raise DomainError(f"H overflows near x_max = {x_max:g}: {exc}") from None
 
 
 #: Lambert argument of the stiff closed form, -2^(1/3) e^(-4/3); the
@@ -127,10 +132,10 @@ def check_hypotheses(m: SystemModel, n: int = 200) -> None:
 
     Every model gets the checks of n (an integer, at least 1) and of
     a(0) > 0, and ``find_w``'s sign test of w with its ordering
-    (a0 + 1) w > z >= w > 0.  A model that ``make_model`` built
-    (``SystemModel.built_in``) then gets one more, the domain of the r
-    sample's largest abscissa hi = 0.95 x_max (4 z for ``nonrel``).  Its
-    other sampled facts are identities of the closed forms (a0 = 2):
+    (a0 + 1) w > z >= w > 0.  For a model that ``make_model`` built
+    (``SystemModel.built_in``) the r sample's largest abscissa hi =
+    0.95 x_max (4 z for ``nonrel``) lies below ``m.x_end``, and the
+    sampled facts are identities of the closed forms (a0 = 2):
 
     * b = gamma s/(1 - s x) > 0 and r = c/(1 - s x) > 0 on [0, hi];
     * a - a0 - (a0 + 1) w b = -s (beta x + 3 gamma w)/(1 - s x) < 0;
@@ -144,29 +149,24 @@ def check_hypotheses(m: SystemModel, n: int = 200) -> None:
     on n of [w, z]; the sampled check is the predicate's test oracle.
 
     Raises HypothesisError naming the failing condition and a witness,
-    DomainError when the r sample leaves [0, x_max - DOMAIN_GUARD),
-    TypeError for an n that is not an integer and ValueError for n
-    below 1.
+    DomainError when the r sample leaves [0, x_end), TypeError for an n
+    that is not an integer and ValueError for n below 1.
     """
     n = _sample_count(n)
     if m.a0 <= 0.0:
         raise HypothesisError(f"a(0) = {m.a0} is not positive")
     w = find_w(m)  # also enforces (a0+1)w > z >= w > 0
-
-    hi = 0.95 * m.x_max if math.isfinite(m.x_max) else 4.0 * m.z
-    in_domain = 0.0 <= hi < m.x_max - DOMAIN_GUARD
     if m.built_in:
-        if not in_domain:
-            m.check_x(hi)
         return
 
+    hi = 0.95 * m.x_max if math.isfinite(m.x_max) else 4.0 * m.z
     xs = np.linspace(0.0, hi, 4 * n)
     bs = np.asarray(m.b(xs), dtype=float)
     if (bs < 0.0).any():
         i = int(np.argmin(bs))
         raise HypothesisError(f"b < 0 at x = {xs[i]}", point=(float(xs[i]),))
     # the r sample spans [0, hi], so its domain check is the one at hi
-    if not in_domain:
+    if not 0.0 <= hi < m.x_end:
         m.check_x(xs)
     # r = c/(1 - s x) overflows to +inf, which passes, when c is near the
     # float maximum (kappa below about 1e-307)

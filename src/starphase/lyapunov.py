@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .models import DOMAIN_GUARD, SystemModel
+from .models import SystemModel
 
 
 def lyapunov_value(m: SystemModel, x, y):
@@ -115,7 +115,7 @@ def level_set_grid(m: SystemModel, x_range, y_range,
                    nx: int, ny: int) -> LevelSetGrid:
     """Sample V on the closed box ``x_range`` x ``y_range``.
 
-    Cells with x outside [0, x_max) or y <= 0 are flagged invalid rather
+    Cells with x outside [0, x_end) or y <= 0 are flagged invalid rather
     than evaluated.  Raises ValueError for a non-finite or empty box and
     for more than MAX_GRID_NODES nodes, before allocating anything.
     """
@@ -130,7 +130,7 @@ def level_set_grid(m: SystemModel, x_range, y_range,
     xs = np.linspace(x_range[0], x_range[1], nx)
     ys = np.linspace(y_range[0], y_range[1], ny)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
-    valid = (X >= 0.0) & (X < m.x_max - DOMAIN_GUARD) & (Y > 0.0)
+    valid = (X >= 0.0) & (X < m.x_end) & (Y > 0.0)
     values = np.full((nx, ny), np.nan)
     if valid.any():
         values[valid] = lyapunov_value(m, X[valid], Y[valid])

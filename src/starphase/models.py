@@ -27,8 +27,8 @@ log1p(-s x) once and returns ``z*B(x) - A(x)`` bit for bit; and the
 planar field ``field(x, y)`` of the heteroclinic shoot, which takes
 1 - s x once and returns ``(y - x, a(x)*y - b(x)*y*y)`` bit for bit.
 The field is float-only and raises ``DomainError`` outside the shoot's
-box 0 <= x < x_max - max(DOMAIN_GUARD, 1e-9 x_max), y >= 0; every other
-coefficient callable accepts scalars or numpy arrays.
+box 0 <= x < x_end, y >= 0 (``SystemModel.x_end``, the one pole guard);
+every other coefficient callable accepts scalars or numpy arrays.
 ``make_model`` marks the members it builds (``SystemModel.built_in``):
 for them ``bounds.check_hypotheses`` runs an O(1) predicate in place of
 its samples, whose facts are identities of the closed forms above.
@@ -49,7 +49,7 @@ import numpy as np
 
 from .errors import DomainError, HypothesisError
 
-#: evaluation rejects x >= x_max - DOMAIN_GUARD to avoid pole overflow
+#: relative pole guard: evaluation rejects x >= x_max (1 - DOMAIN_GUARD)
 DOMAIN_GUARD = 1e-12
 
 #: relative half-width of the band where a constant's objective changes sign
@@ -150,10 +150,9 @@ class SystemModel:
         bit-identical to ``(y - x, a(x)*y - b(x)*y*y)``; ``make_model``
         fuses it into one expression (the relativistic branch takes
         1 - s x once).  It raises ``DomainError`` outside the shoot's box
-        ``0.0 <= x < x_hi``, ``y >= 0.0``, where x_hi = x_max -
-        max(DOMAIN_GUARD, 1e-9 x_max) (inf for ``nonrel``), so
-        ``shoot_heteroclinic`` integrates it as it is.  ``make_model``
-        builds r, H and field; a hand-built model must supply them.
+        ``0.0 <= x < x_end``, ``y >= 0.0``, so ``shoot_heteroclinic``
+        integrates it as it is.  ``make_model`` builds r, H and field; a
+        hand-built model must supply them.
     x_max : float
         Right end of the admissible x interval (pole of a, b or +inf).
     a0 : float
@@ -193,10 +192,15 @@ class SystemModel:
     def family(self) -> Family:
         return self.spec.family
 
+    @property
+    def x_end(self) -> float:
+        """End x_max (1 - DOMAIN_GUARD) of the domain [0, x_end)."""
+        return self.x_max * (1.0 - DOMAIN_GUARD)
+
     def check_x(self, x) -> None:
-        """Reject x outside [0, x_max - DOMAIN_GUARD), NaN included."""
+        """Reject x outside [0, x_end), NaN included."""
         x = np.asarray(x, dtype=float)
-        if not np.all((0.0 <= x) & (x < self.x_max - DOMAIN_GUARD)):
+        if not np.all((0.0 <= x) & (x < self.x_end)):
             raise DomainError(
                 f"x outside [0, {self.x_max}) for family '{self.family.value}'")
 
@@ -232,10 +236,10 @@ def make_model(spec: ModelSpec) -> SystemModel:
         r = lambda x: x * 0.0 + 1.0
         # z B(x) is +0.0 on the domain, so z B(x) - A(x) is 0.0 - A(x)
         H = lambda x: 0.0 - A(x)
-        x_max = x_hi = math.inf
+        x_max = math.inf
 
         def field(x, y):
-            if not (0.0 <= x < x_hi) or y < 0.0:
+            if not (0.0 <= x < x_end) or y < 0.0:
                 raise DomainError("state left the admissible domain")
             return (y - x, (2.0 - x) * y - (x * 0.0) * y * y)
 
@@ -274,10 +278,8 @@ def make_model(spec: ModelSpec) -> SystemModel:
                 L = float(L)
             return z * (-gamma * L - B_z) - (P * x + beta * L / s - A_z)
 
-        x_hi = x_max - max(DOMAIN_GUARD, 1e-9 * x_max)
-
         def field(x, y):
-            if not (0.0 <= x < x_hi) or y < 0.0:
+            if not (0.0 <= x < x_end) or y < 0.0:
                 raise DomainError("state left the admissible domain")
             # (y - x, a(x)*y - b(x)*y*y) with 1 - s x taken once
             q = 1.0 - s * x
@@ -289,6 +291,7 @@ def make_model(spec: ModelSpec) -> SystemModel:
                     A=A, B=B, r=r, H=H, field=field, x_max=x_max,
                     a0=float(a(0.0)), z=z, w=w, x0=x0, b_is_zero=b_is_zero)
     object.__setattr__(m, "built_in", True)
+    x_end = m.x_end  # the box of the field closures above
     return m
 
 

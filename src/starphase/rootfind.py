@@ -21,7 +21,7 @@ import math
 
 from .errors import ConvergenceError
 
-#: absolute tolerance handed to brentq; its relative one is ROOT_RTOL
+#: brentq's absolute tolerance at length scale 1; its relative one is ROOT_RTOL
 ROOT_XTOL = 1e-14
 
 #: relative tolerance of brentq, scipy's minimum: 4 machine epsilons

@@ -85,9 +85,9 @@ def jacobian_fd(m: SystemModel, x: float, y: float, h: float = 1e-5) -> np.ndarr
 
     Validation oracle for the analytic linearisations.  The stencil may
     poke marginally below x = 0 or y = 0 (the coefficient functions are
-    analytic there); only the pole side of the domain is enforced.
+    analytic there); only the pole side, x + h < x_end, is enforced.
     """
-    if x + h >= m.x_max - 1e-9:
+    if x + h >= m.x_end:
         raise DomainError("finite-difference stencil crosses the pole")
 
     def raw(xx, yy):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 import starphase as sp
 from starphase import rootfind
-from starphase.models import DOMAIN_GUARD
 
 #: the four families exercised throughout the suite (kappa at the
 #: radiation border 1/3; scaled at the default sigma = 8 pi)
@@ -33,11 +32,28 @@ def drawn_models():
             lambda e: sp.model("scaled", scale=10.0 ** e)))
 
 
+#: scales that ``wide_scales`` always tries: two whose x_max overflows
+#: (``ModelSpec`` refuses them), the smallest it accepts, one where H
+#: overflows near x_max and one where it just does not, two ordinary
+#: ones, and two where brentq's steps underflow (1e300 runs out)
+SCALE_EDGES = (1e-310, 5.562684646268003e-309, 5.56268464626801e-309,
+               6e-309, 1e-307, 1.0, 1e12, 1e156, 1e300)
+
+
+def wide_scales():
+    """Hypothesis strategy over ``scaled`` scales: log-uniform in
+    [1e-310, 1e300], plus ``SCALE_EDGES``."""
+    return st.one_of(
+        st.sampled_from(SCALE_EDGES),
+        st.floats(-310.0, 300.0).map(
+            lambda e: min(max(10.0 ** e, 1e-310), 1e300)))
+
+
 @st.composite
 def drawn_points(draw, m):
-    """One x in [0, x_max - DOMAIN_GUARD) of member ``m``, x = z included
-    (x below 100 z for the unbounded ``nonrel`` domain)."""
-    hi = m.x_max - DOMAIN_GUARD if math.isfinite(m.x_max) else 100.0 * m.z
+    """One x in [0, x_end) of member ``m``, x = z included (x below 100 z
+    for the unbounded ``nonrel`` domain)."""
+    hi = m.x_end if math.isfinite(m.x_end) else 100.0 * m.z
     return draw(st.one_of(st.just(m.z),
                           st.floats(0.0, hi, exclude_max=True)))
 

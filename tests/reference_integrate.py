@@ -19,7 +19,6 @@ import numpy as np
 from starphase.errors import DomainError
 from starphase.integrate import (DOMAIN_EXIT, FINISHED, MAX_STEPS, STOPPED,
                                  OdeSolution)
-from starphase.models import DOMAIN_GUARD
 
 # Dormand-Prince 5(4) tableau without its zero entries; the propagated
 # solution is 5th order and the embedded 4th-order difference drives the
@@ -171,14 +170,11 @@ def reference_shoot(m, cfg) -> OdeSolution:
     ``reference_integrate`` and the shoot's former closures."""
     eps = cfg.eps_start
     y0 = (eps, (m.a0 + 1.0) * eps)
-    guard = max(DOMAIN_GUARD, 1e-9 * m.x_max if math.isfinite(m.x_max) else 0.0)
-    a, b, H, z = m.a, m.b, m.H, m.z
-
-    x_hi = m.x_max - guard
+    a, b, H, z, x_end = m.a, m.b, m.H, m.z, m.x_end
 
     def field(t, s):
         x, y = s
-        if not (0.0 <= x < x_hi) or y < 0.0:
+        if not (0.0 <= x < x_end) or y < 0.0:
             raise DomainError("state left the admissible domain")
         return (y - x, a(x) * y - b(x) * y * y)
 

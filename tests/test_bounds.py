@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import math
+import re
 import warnings
 
 import mpmath
@@ -14,7 +15,7 @@ import starphase as sp
 from starphase import bounds, lyapunov, rootfind
 from starphase.bounds import (STIFF_LAMBERT_ARG, check_hypotheses,
                               closed_form_X, kappa_sweep, sweep_to_csv)
-from starphase.models import DOMAIN_GUARD, SystemModel
+from starphase.models import SystemModel
 
 from conftest import count_root_solves, drawn_models
 from reference_models import (reference_check_hypotheses,
@@ -47,15 +48,17 @@ def bisect_level(m, level, lo, hi, iters=200):
 def reference_invert_H(m, level):
     """``invert_H``'s solve on the checked objective H(m, x) - level that
     it replaced, kept as the bit-for-bit oracle: the package's bracket
-    walk, then scipy's brentq, so the oracle does not share the solver
+    walk, then scipy's brentq with the tolerance ROOT_XTOL x_max
+    (ROOT_XTOL for ``nonrel``), so the oracle does not share the solver
     under test."""
     def f(x):
         return sp.H(m, x) - level
 
-    a, b = rootfind.expand_bracket(f, m.z, m.x_max - DOMAIN_GUARD)
+    a, b = rootfind.expand_bracket(f, m.z, m.x_end)
     if a == b:
         return a
-    return scipy_brentq(f, a, b, xtol=rootfind.ROOT_XTOL)
+    scale = m.x_max if math.isfinite(m.x_max) else 1.0
+    return scipy_brentq(f, a, b, xtol=rootfind.ROOT_XTOL * scale)
 
 
 def mesh_slope_check(m, n):
@@ -303,8 +306,39 @@ class TestInvertH:
     def test_unreachable_level_reports_supremum(self, models):
         # H grows only logarithmically toward the pole; demand a level
         # beyond what is attainable left of the domain guard
-        with pytest.raises(sp.DomainError, match="sup"):
-            sp.invert_H(models["stiff"], 1e6)
+        m = models["stiff"]
+        with pytest.raises(sp.DomainError,
+                           match=re.escape(f"(sup H ~ {m.H(m.x_end)})")):
+            sp.invert_H(m, 1e6)
+
+    @pytest.mark.parametrize("scale", [5.6e-309, 6e-309, 1e-308])
+    def test_overflowing_H_is_named(self, scale):
+        # H overflows to NaN near x_max ~ 1e308; brentq's NaN message
+        # named neither the overflow nor x_max
+        m = sp.model("scaled", scale=scale)
+        with pytest.raises(sp.DomainError, match=re.escape(
+                f"H overflows near x_max = {m.x_max:g}: ")):
+            sp.invert_H(m, sp.excess_E(m))
+
+    def test_brentq_budget_is_not_unreachable(self):
+        # the level is reached at x_max / 1.44, but brentq's steps f dx
+        # fall below the smallest normal double and its budget runs out
+        m = sp.model("scaled", scale=1e300)
+        with pytest.raises(sp.ConvergenceError, match="brentq"):
+            sp.invert_H(m, sp.excess_E(m))
+
+    @pytest.mark.parametrize("e", [-3.0, 0.0, 3.0, 9.0, 12.0, 100.0])
+    def test_root_of_a_member_is_stiff_root_over_scale(self, models, e):
+        # the member (1, s) is stiff shrunk by 1/s, its levels with it;
+        # the root tolerance ROOT_XTOL x_max shrinks along
+        s = 10.0 ** e
+        m, stiff = sp.model("scaled", scale=s), models["stiff"]
+        # (near z, at small fractions, the root is ill-conditioned in the
+        # level, which rounds apart between the two members)
+        for frac in (0.05, 0.7, 1.0):
+            got = sp.invert_H(m, frac * sp.excess_E(m))
+            want = sp.invert_H(stiff, frac * sp.excess_E(stiff))
+            assert got * s == pytest.approx(want, rel=4e-15, abs=0.0)
 
 
 class TestClosedForms:
@@ -561,11 +595,12 @@ class TestHypothesesMatchReference:
     def test_drawn_members(self, m):
         assert_matches_reference(m)
 
-    def test_tiny_member_domain_error(self):
-        # x_max = 1e-12 puts the whole r sample beyond x_max - DOMAIN_GUARD
+    def test_tiny_member_passes(self):
+        # the guard is relative: 0.95 x_max lies below x_end at x_max =
+        # 1e-12, where an absolute 1e-12 put the whole r sample beyond it
         m = sp.model("scaled", scale=1e12)
-        with pytest.raises(sp.DomainError):
-            check_hypotheses(m)
+        check_hypotheses(m)
+        check_hypotheses(dataclasses.replace(m))
         assert_matches_reference(m)
 
 def log_uniform(lo, hi):
@@ -653,8 +688,7 @@ class TestSmallKappa:
 
     @pytest.mark.parametrize("family, kw, gap", [
         ("kappa", {"kappa": 1e-10}, "0.487"),
-        ("kappa", {"kappa": 1e-6}, "3.42e-06"),
-        ("scaled", {"scale": 1e9}, "7.17e-07")])
+        ("kappa", {"kappa": 1e-6}, "3.42e-06")])
     def test_relative_disagreement_raises(self, family, kw, gap):
         with pytest.raises(sp.ConvergenceError) as err:
             sp.bound_X(sp.model(family, **kw))

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -6,9 +8,15 @@ import sys
 import warnings
 
 import pytest
+from hypothesis import given, settings
 
 import starphase as sp
 from starphase import cli
+
+from conftest import wide_scales
+
+#: 1 + W0(-2^(1/3) e^(-4/3)) / 2, the stiff bound (tests/test_bounds.py)
+X_STIFF = 0.6934159639728907
 
 
 def run(capsys, *argv):
@@ -68,16 +76,42 @@ class TestBound:
                                                  abs=1e-12)
         assert doc["agreement"] <= 1e-9
 
-    @pytest.mark.parametrize("scale", ["6e10", "1e11", "3e11", "1e12"])
-    def test_tiny_member_exit_3(self, capsys, scale):
-        # 0.95 x_max, the r sample's largest x, lies at or beyond
-        # x_max - DOMAIN_GUARD, so the hypotheses check refuses the member
-        # before the bound's two routes can disagree
-        code, out, err = run(capsys, "bound", "--model", "scaled",
-                             "--scale", scale)
-        assert code == 3 and out == ""
-        assert err == (f"error: x outside [0, {1.0 / float(scale)!r}) "
-                       "for family 'scaled'\n")
+    @pytest.mark.parametrize("scale", sorted(
+        {repr(10.0 ** (-3.0 + 0.5 * i)) for i in range(31)}
+        | {"6e10", "3e11"}, key=float), ids=lambda s: f"{float(s):.3g}")
+    def test_scaled_bound_is_stiff_over_scale(self, capsys, scale):
+        # the member (1, s) is stiff shrunk by 1/s; with an absolute guard
+        # and root tolerance, 1e9 disagreed by 7.2e-7 (exit 4) and 6e10
+        # up exited 3, 0.95 x_max lying beyond x_max - 1e-12
+        code, out, _ = run(capsys, "bound", "--model", "scaled",
+                           "--scale", scale)
+        assert code == 0
+        doc = json.loads(out)
+        s = float(scale)
+        for key in ("X_numeric", "X_closed"):
+            assert doc[key] * s == pytest.approx(X_STIFF, rel=1e-15, abs=0.0)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(s=wide_scales())
+    def test_scaled_bound_at_any_scale(self, s):
+        # a bound that is stiff over s, or exit 3 or 4 with one error line
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                code = cli.main(["bound", "--model", "scaled",
+                                 "--scale", repr(s)])
+        assert code in (0, 3, 4)
+        if code == 0:
+            doc = json.loads(out.getvalue())
+            for key in ("X_numeric", "X_closed"):
+                assert doc[key] * s == pytest.approx(X_STIFF, rel=1e-14,
+                                                     abs=0.0)
+        else:
+            assert out.getvalue() == ""
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: ")
 
     @pytest.mark.parametrize("scale", ["1e-310", "5e-324"])
     def test_scale_whose_x_max_overflows_exit_3(self, capsys, scale):

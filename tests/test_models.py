@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import starphase as sp
 from starphase import models as models_mod
 from starphase import rootfind
-from starphase.models import DOMAIN_GUARD, VERIFY_TOL, r_at_z
+from starphase.models import VERIFY_TOL, r_at_z
 from conftest import (SIGMA, count_root_solves, drawn_models, drawn_points,
                       random_domain_points)
 from reference_models import SINGULARITY_GUARD, oracle_verification
@@ -242,17 +242,10 @@ def unfused_field(m, x, y):
     return (y - x, m.a(x) * y - m.b(x) * y * y)
 
 
-def shoot_box_x_hi(m):
-    """Right end of the shoot's box, which ``m.field`` enforces."""
-    if not math.isfinite(m.x_max):
-        return math.inf
-    return m.x_max - max(DOMAIN_GUARD, 1e-9 * m.x_max)
-
-
 class TestFusedField:
     """``m.field`` fuses a and b into one expression but must return
     ``(y - x, a(x)*y - b(x)*y*y)`` bit for bit on floats inside the
-    shoot's box 0 <= x < x_hi, y >= 0, and raise ``DomainError`` outside
+    shoot's box 0 <= x < x_end, y >= 0, and raise ``DomainError`` outside
     it."""
 
     def test_bit_identical_on_random_domain_points(self, each_model):
@@ -263,21 +256,20 @@ class TestFusedField:
         want = np.stack(unfused_field(m, xs, ys), axis=1)
         assert same_bits(np.array(got), want)
         edge = [(0.0, 0.0), (0.0, m.z), (m.z, m.z), (m.z, 0.0)]
-        x_hi = shoot_box_x_hi(m)
-        if math.isfinite(x_hi):
-            edge.append((math.nextafter(x_hi, 0.0), m.z))
+        if math.isfinite(m.x_end):
+            edge.append((math.nextafter(m.x_end, 0.0), m.z))
         for x, y in edge:
             assert same_bits(m.field(x, y), unfused_field(m, x, y)), (x, y)
 
     def test_domain_error_outside_the_box(self, each_model):
         m = each_model
-        x_hi = shoot_box_x_hi(m)
+        x_end = m.x_end
         outside = [(-5e-324, m.z), (-m.z, m.z), (m.z, -5e-324),
                    (m.z, -m.z), (math.nan, m.z), (math.inf, m.z),
-                   (x_hi, m.z), (-math.inf, m.z)]
-        if math.isfinite(x_hi):
+                   (x_end, m.z), (-math.inf, m.z)]
+        if math.isfinite(x_end):
             outside += [(m.x_max, m.z), (2.0 * m.x_max, 0.0),
-                        (math.nextafter(x_hi, math.inf), m.z)]
+                        (math.nextafter(x_end, math.inf), m.z)]
         for x, y in outside:
             with pytest.raises(sp.DomainError, match="admissible domain"):
                 m.field(x, y)
@@ -287,7 +279,7 @@ class TestFusedField:
            u=st.floats(0.0, 4.0))
     def test_bit_identical_on_drawn_members(self, m, data, u):
         x, y = data.draw(drawn_points(m)), u * m.z
-        if x < shoot_box_x_hi(m):
+        if x < m.x_end:
             assert same_bits(m.field(x, y), unfused_field(m, x, y))
         else:
             with pytest.raises(sp.DomainError):
@@ -478,7 +470,7 @@ class TestLevelMap:
         # a Python float takes H's float path, an array the numpy path
         k = 10.0 ** e
         m = sp.model("kappa", kappa=k)
-        top = m.x_max - models_mod.DOMAIN_GUARD
+        top = m.x_end
         xs = [min(m.z + f * (top - m.z), math.nextafter(top, 0.0))
               for f in fracs]
         got = [m.H(x) for x in xs]

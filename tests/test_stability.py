@@ -128,6 +128,18 @@ class TestJacobianFD:
         with pytest.raises(sp.DomainError):
             sp.jacobian_fd(models["stiff"], 1.0 - 1e-12, 0.5)
 
+    @pytest.mark.parametrize("scale", [1e9, 1e12])
+    def test_pole_test_is_relative(self, scale):
+        # an absolute x + h >= x_max - 1e-9 refused every stencil of a
+        # member with x_max at or below 1e-9
+        m = sp.model("scaled", scale=scale)
+        fd = sp.jacobian_fd(m, m.z, m.z, h=1e-5 * m.x_max)
+        jac, _, _ = sp.linearize_interior(m)
+        np.testing.assert_allclose(fd, jac, rtol=1e-6)
+        with pytest.raises(sp.DomainError, match="crosses the pole"):
+            sp.jacobian_fd(m, m.x_end - 5e-6 * m.x_max, m.z,
+                           h=1e-5 * m.x_max)
+
 
 class TestReport:
     def test_report_fields(self, models):

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from starphase.bounds import closed_form_X
 from starphase.trajectory import IntegratorConfig
 
 from conftest import (FAMILY_ARGS, ORBIT_DRAWS, count_root_solves,
-                      drawn_models, orbit_case)
+                      drawn_models, orbit_case, wide_scales)
 
 # scipy DOP853 oracle values (rtol 1e-11), frozen
 ORACLE_MAX_X = {
@@ -371,6 +372,62 @@ class TestTrapRegion:
         assert rep.passed is False
         kind, x, y = rep.violation
         assert kind == "line" and x < 0.5 * base.w and y == 3.0 * x
+
+    @pytest.mark.parametrize("e", np.linspace(-8.0, 0.0, 81).tolist(),
+                             ids="{:.1f}".format)
+    def test_diagonal_tolerance_is_relative(self, e):
+        # dy is 0 at x = z up to rounding of order x_max^2 u; an absolute
+        # -1e-12 failed 14 of these scales (all at or below 1e-4)
+        rep = sp.check_trap_region(sp.model("scaled", scale=10.0 ** e))
+        assert rep.passed is True and rep.violation is None
+
+    @pytest.mark.parametrize("n", [1, 7, 1000])
+    def test_diagonal_failure_names_the_lowest_point(self, models, n):
+        # b doubled right of 0.4 (w = 1/3, z = 1/2): dy = x (a - 2 b x) < 0
+        # there, while w, the line and the slope fact are unchanged
+        base = models["stiff"]
+        m = dataclasses.replace(base, b=lambda x: np.where(
+            np.asarray(x) > 0.4, 2.0, 1.0) * base.b(x))
+        rep = sp.check_trap_region(m, n)
+        xs = np.linspace(m.z / n, m.z, n)
+        dy = sp.eval_field(m, xs, xs)[1]
+        i = int(np.argmin(dy))
+        assert rep.passed is False and rep.line_margin <= 1e-9
+        assert rep.diagonal_min == dy[i] < -1e-12
+        assert rep.violation == ("diagonal", xs[i], xs[i])
+
+    @pytest.mark.parametrize("e", [156.0, 156.5, 158.5, 159.0, 160.5])
+    def test_diagonal_allows_a_subnormal_square(self, e):
+        # z^2 is subnormal, so b(z) z^2 is off by up to b(z) 2^-1075,
+        # about 1e-167 at scale 1e156: more than 1e-12 x_max
+        m = sp.model("scaled", scale=10.0 ** e)
+        rep = sp.check_trap_region(m)
+        assert rep.diagonal_min < -1e-12 * m.x_max
+        assert rep.passed is True and rep.violation is None
+
+    def test_field_overflow_is_a_domain_error(self):
+        # y^2 overflowed with a numpy warning, and the report read
+        # passed=False with line_margin = diagonal_min = -inf
+        m = sp.model("scaled", scale=1e-200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(sp.DomainError, match="field overflows"):
+                sp.check_trap_region(m)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(s=wide_scales())
+    def test_passes_or_refuses_at_any_scale(self, s):
+        try:
+            m = sp.model("scaled", scale=s)
+        except ValueError:  # x_max = 1/s overflows
+            return
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                rep = sp.check_trap_region(m)
+            except sp.DomainError:
+                return
+        assert rep.passed is True and rep.violation is None
 
     def test_diagonal_stationary_at_z(self, each_model):
         dx, dy = sp.eval_field(each_model, each_model.z, each_model.z)
