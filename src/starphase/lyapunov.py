@@ -31,7 +31,11 @@ def lyapunov_value(m: SystemModel, x, y):
     """V(x, y); zero at (z, z) by normalisation.  Requires y > 0."""
     m.check_xy(x, y, y_positive=True)
     y = np.asarray(y, dtype=float)
-    val = m.H(x) + y - m.z - m.z * np.log(y / m.z)
+    h, q, tiny = m.H(x), np.asarray(y / m.z), np.finfo(float).tiny
+    # log y - log z where y/z would lose digits below the normals
+    log_q = np.log(q, out=q) if q.min() >= tiny else np.where(
+        q < tiny, np.log(y) - math.log(m.z), np.log(np.maximum(q, tiny)))
+    val = h + y - m.z - m.z * log_q
     return val if val.ndim else float(val)
 
 
@@ -60,7 +64,7 @@ def lyapunov_derivative(m: SystemModel, x, y):
 def H(m: SystemModel, x):
     """Level map H(x) = z B(x) - A(x) for x >= z; strictly increasing."""
     x_arr = np.asarray(x, dtype=float)
-    if not np.all(x_arr >= m.z - 1e-12):
+    if not np.all(x_arr >= m.z):
         raise DomainError(f"H is defined for x >= z = {m.z}")
     m.check_x(x)
     val = m.H(x_arr)
@@ -90,20 +94,25 @@ def write_grid_csv(path, grid: LevelSetGrid, header, columns) -> None:
     """One CSV row per grid node, x-major: x, y, one field per array in
     ``columns`` (each shaped like the grid), then valid as 0 or 1.
 
-    Floats are written as ``repr``; the column fields of an invalid node
-    are empty.  The bytes equal those of ``csv.writer`` with its default
-    dialect: CRLF line ends, and no field here needs quoting.
-    """
-    ys = [repr(v) for v in grid.ys.tolist()]
-    blank = "," * (len(columns) + 1) + "0\r\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        # one x at a time keeps the formatted text small
-        for i, x in enumerate(map(repr, grid.xs.tolist())):
-            fields = zip(*(map(repr, c[i].tolist()) for c in columns))
-            fh.write("".join(
-                f"{x},{y},{','.join(vals)},1\r\n" if ok else f"{x},{y}{blank}"
-                for y, ok, vals in zip(ys, grid.valid[i].tolist(), fields)))
+    The bytes are those of ``csv.writer`` over ``repr`` of each float (CRLF
+    line ends, no quoting), formatted in bulk (``_floatcsv``).  The column
+    fields of an invalid node are empty."""
+    # imported here, so that commands that write no CSV skip its set-up
+    from ._floatcsv import SLOT, float_slots, write_csv
+    xs, ys = float_slots(grid.xs), float_slots(grid.ys)
+    valid = grid.valid.ravel()
+    flat = [np.ravel(c) for c in columns]
+
+    def cells(lo, hi):
+        node, ok = np.arange(lo, hi), valid[lo:hi]
+        # an invalid node's fields are formatted from 1.0, then blanked
+        fields = float_slots(np.where(ok, [c[lo:hi] for c in flat], 1.0))
+        fields.reshape(len(flat), -1, SLOT)[:, ~ok] = 0
+        return [xs[node // len(ys)], ys[node % len(ys)],
+                *np.split(fields, len(flat)),
+                ok.view(np.uint8)[:, None] + np.uint8(48)]
+
+    write_csv(path, header, valid.size, cells)
 
 
 #: most nodes (nx * ny) a ``level_set_grid`` may sample; the portrait
@@ -117,7 +126,8 @@ def level_set_grid(m: SystemModel, x_range, y_range,
 
     Cells with x outside [0, x_end) or y <= 0 are flagged invalid rather
     than evaluated.  Raises ValueError for a non-finite or empty box and
-    for more than MAX_GRID_NODES nodes, before allocating anything.
+    for more than MAX_GRID_NODES nodes, before allocating anything, and
+    DomainError where V overflows (``nonrel`` from x of about 1e154).
     """
     if not all(math.isfinite(v) for v in (*x_range, *y_range)):
         raise ValueError(f"plot box bounds must be finite, got x range "
@@ -133,5 +143,10 @@ def level_set_grid(m: SystemModel, x_range, y_range,
     valid = (X >= 0.0) & (X < m.x_end) & (Y > 0.0)
     values = np.full((nx, ny), np.nan)
     if valid.any():
-        values[valid] = lyapunov_value(m, X[valid], Y[valid])
+        with np.errstate(over="ignore", invalid="ignore"):
+            values[valid] = v = lyapunov_value(m, X[valid], Y[valid])
+        if not np.isfinite(v).all():
+            bad = np.count_nonzero(~np.isfinite(v))
+            raise DomainError(f"V overflows on this plot box: it is not "
+                              f"finite at {bad} of {v.size} nodes")
     return LevelSetGrid(xs=xs, ys=ys, values=values, valid=valid)

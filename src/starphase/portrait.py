@@ -221,8 +221,11 @@ def portrait_svg(m: SystemModel, x_range, y_range, nx: int, ny: int,
     pad = 10.0
 
     def to_px(x, y):
-        px = pad + (x - x0) / (x1 - x0) * (width - 2 * pad)
-        py = height - pad - (y - y0) / (y1 - y0) * (height - 2 * pad)
+        with np.errstate(over="ignore", invalid="ignore"):
+            px = pad + (x - x0) / (x1 - x0) * (width - 2 * pad)
+            py = height - pad - (y - y0) / (y1 - y0) * (height - 2 * pad)
+        if not (np.isfinite(px).all() and np.isfinite(py).all()):
+            raise DomainError("a pixel coordinate is not finite on this box")
         return px, py
 
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '

@@ -141,14 +141,15 @@ class Trajectory:
     def to_csv(self, path) -> None:
         """Rows ``t,x,y,V`` with round-trip decimal formatting.
 
-        Floats are written as ``repr``.  The bytes equal those of
-        ``csv.writer`` with its default dialect: CRLF line ends, and no
-        field here needs quoting.
+        The bytes are those of ``csv.writer`` over ``repr`` of each float
+        (CRLF line ends, no quoting), formatted in bulk (``_floatcsv``).
         """
-        with open(path, "w", newline="") as fh:
-            fh.write("t,x,y,V\r\n" + "".join(
-                f"{ti!r},{xi!r},{yi!r},{vi!r}\r\n"
-                for ti, xi, yi, vi in self._rows()))
+        from ._floatcsv import float_slots, write_csv  # as in write_grid_csv
+        cols = [np.asarray(c, dtype=float).ravel()
+                for c in (self.t, self.x, self.y, self.V)]
+        write_csv(path, ("t", "x", "y", "V"), cols[0].size,
+                  lambda lo, hi: np.split(
+                      float_slots([c[lo:hi] for c in cols]), len(cols)))
 
     def _rows(self):
         """(t, x, y, V) rows of Python floats, one per sample."""

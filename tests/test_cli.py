@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -353,6 +354,48 @@ class TestTrajectory:
 
 
 class TestPortrait:
+    @pytest.mark.parametrize("argv", [
+        # the pixel map of the (z, z) marker overflowed: cx="inf"
+        ["--model", "stiff", "--xrange", "0:5e-324", "--grid", "6,6",
+         "--out", "p.svg"],
+        ["--model", "nonrel", "--xrange", "0:5e-324", "--grid", "6,6",
+         "--out", "p.svg"],
+        # A overflowed in the nonrel level map, with a numpy warning
+        ["--model", "nonrel", "--xrange", "0:1e300", "--out", "p.svg"],
+        ["--model", "nonrel", "--xrange", "0:1e300", "--out", "p.csv"],
+    ])
+    def test_non_finite_output_exit_3(self, capsys, tmp_path, argv):
+        argv[-1] = str(tmp_path / argv[-1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "portrait", *argv)
+        assert code == 3 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "not finite" in lines[0]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_subnormal_y_gives_finite_v(self, capsys, tmp_path):
+        # y/z underflowed to 0 in V, which read inf at y = 5e-324
+        path = tmp_path / "p.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run(capsys, "portrait", "--model", "nonrel",
+                               "--yrange", "5e-324:3", "--grid", "6,6",
+                               "--out", str(path))
+        assert code == 0 and err == ""
+        rows = [line.split(",") for line in path.read_text().splitlines()]
+        values = [float(v) for row in rows[1:] for v in row]
+        assert len(values) == 36 * 6 and all(map(math.isfinite, values))
+        m = sp.model("nonrel")
+        for row in rows[1:]:
+            x, y, v = float(row[0]), float(row[1]), float(row[4])
+            want = float(m.H(x)) + y - m.z - m.z * (math.log(y)
+                                                    - math.log(m.z))
+            assert v == pytest.approx(want, rel=1e-14)
+            if y == 5e-324:
+                assert v > 1400.0
+
     def test_csv(self, capsys, tmp_path):
         path = tmp_path / "field.csv"
         code, _, _ = run(capsys, "portrait", "--model", "stiff",

@@ -23,6 +23,19 @@ class TestValue:
     def test_zero_at_interior_point(self, each_model):
         assert sp.lyapunov_value(each_model, each_model.z, each_model.z) == 0.0
 
+    @pytest.mark.parametrize("y", [5e-324, 1e-310, 2.2250738585072014e-308,
+                                   1e-300])
+    def test_y_over_z_below_the_normals(self, y):
+        # log(y / z) underflowed or lost digits; log y - log z does not
+        for m in (sp.model("nonrel"), sp.model("scaled", scale=1e-10)):
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
+                v = sp.lyapunov_value(m, m.z, np.array([y, m.z]))
+            want = float(m.H(m.z)) + y - m.z - m.z * (math.log(y)
+                                                       - math.log(m.z))
+            if y / m.z < np.finfo(float).tiny:
+                assert v[0] == pytest.approx(want, rel=1e-15)
+            assert v[1] == 0.0
+
     def test_stiff_closed_form(self, models):
         # 2V = -6x - 3 log(1-x) + 2y - log y + 2 - 4 log 2
         m = models["stiff"]
@@ -121,6 +134,14 @@ class TestH:
     def test_rejects_x_below_z(self, models):
         with pytest.raises(sp.DomainError):
             sp.H(models["stiff"], 0.4)
+
+    def test_lower_end_is_exact_on_a_narrow_member(self):
+        # the test was x >= z - 1e-12, which let 0.0 through at z = 5e-13
+        m = sp.model("scaled", scale=1e12)
+        assert sp.H(m, m.z) == 0.0
+        for x in (0.0, np.nextafter(m.z, 0.0)):
+            with pytest.raises(sp.DomainError, match="x >= z"):
+                sp.H(m, x)
 
 
 #: the domain-checked entry points, each with the argument v in one

@@ -10,6 +10,7 @@ import pytest
 import starphase as sp
 from starphase.lyapunov import LevelSetGrid
 from starphase.portrait import _CASE_SEGMENTS, default_ranges, field_grid
+from starphase._floatcsv import BLOCK
 from starphase.portrait import marching_squares, portrait_csv, portrait_svg
 
 
@@ -468,6 +469,23 @@ class TestCsvBytes:
         xr, yr, nx, ny = grid_cases(each_model)[3]
         grid = sp.level_set_grid(each_model, xr, yr, nx, ny)
         new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+        grid.to_csv(new)
+        reference_grid_csv(grid, ref)
+        assert new.read_bytes() == ref.read_bytes()
+
+    @pytest.mark.parametrize("nodes", [BLOCK - 1, BLOCK + 1])
+    def test_block_boundaries_match_csv_writer(self, models, nodes,
+                                               tmp_path):
+        # a grid one node short of and one past a block of rows, on a box
+        # reaching past the domain so that blank fields cross the block
+        nx = max(n for n in range(1, int(nodes ** 0.5) + 1) if nodes % n == 0)
+        m = models["stiff"]
+        xr, yr = (-0.1, 1.1), (-0.3, 3.0)
+        new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+        portrait_csv(m, xr, yr, nx, nodes // nx, new)
+        reference_portrait_csv(m, xr, yr, nx, nodes // nx, ref)
+        assert new.read_bytes() == ref.read_bytes()
+        grid = sp.level_set_grid(m, xr, yr, nx, nodes // nx)
         grid.to_csv(new)
         reference_grid_csv(grid, ref)
         assert new.read_bytes() == ref.read_bytes()

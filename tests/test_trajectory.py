@@ -13,6 +13,7 @@ from scipy.optimize import brentq
 
 import starphase as sp
 from starphase import integrate, trajectory
+from starphase._floatcsv import BLOCK
 from starphase.bounds import closed_form_X
 from starphase.trajectory import IntegratorConfig
 
@@ -191,6 +192,21 @@ class TestShoot:
         got = (tmp_path / "got.csv").read_bytes()
         assert got == (tmp_path / "want.csv").read_bytes()
         assert got.count(b"\r\n") == 1 + traj.t.size
+
+    def test_csv_bytes_past_one_block(self, trajectories, tmp_path):
+        # more rows than one block of the writer, the orbit's own values
+        # and their neighbours, zeros and negatives included
+        traj = trajectories["stiff"]
+        n = 2 * BLOCK + 3
+        cols = [np.resize(np.concatenate([c, -c, np.nextafter(c, 0.0)]), n)
+                for c in (traj.t, traj.x, traj.y, traj.V)]
+        long = dataclasses.replace(traj, t=cols[0], x=cols[1], y=cols[2],
+                                   V=cols[3])
+        long.to_csv(tmp_path / "got.csv")
+        reference_to_csv(long, tmp_path / "want.csv")
+        got = (tmp_path / "got.csv").read_bytes()
+        assert got == (tmp_path / "want.csv").read_bytes()
+        assert got.count(b"\r\n") == 1 + n
 
     def test_dict_export(self, trajectories):
         doc = trajectories["stiff"].to_dict()
