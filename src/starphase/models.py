@@ -78,8 +78,8 @@ class ModelSpec:
         overflows.
     scale : float, optional
         Positive rescaling sigma for ``scaled`` (default 8 pi); values
-        below about 5.6e-309, where x_max = 1/sigma overflows, are
-        rejected.
+        below about 5.6e-309, where x_max = 1/sigma overflows, and above
+        about 5.99e307, where c = 3 sigma overflows, are rejected.
     """
 
     family: Family
@@ -110,6 +110,9 @@ class ModelSpec:
                 raise ValueError(
                     f"scale = {self.scale} is too small: x_max = 1 / scale"
                     " overflows")
+            if 3.0 * float(self.scale) == math.inf:
+                raise ValueError(f"scale = {self.scale} is too large: "
+                                 "c = 3 scale overflows")
         elif self.scale is not None:
             raise ValueError("scale is only meaningful for the scaled family")
 
@@ -135,13 +138,13 @@ class SystemModel:
     a, b : callable
         Coefficient functions of x.
     a_prime, b_prime : callable
-        Their derivatives.
+        Their derivatives; only the sampled slope check reads them.
     A, B : callable
         Primitives of a and b, shifted so ``A(z) = B(z) = 0``.
     r : callable
         Structural factor (z b(x) - a(x))/(x - z) in closed form,
-        c/(1 - s x) with c = (2 + beta) s, and 1 for ``nonrel``; finite
-        at x = z, where it equals the limit z b'(z) - a'(z).
+        c/(1 - s x) with c = (2 + beta) s, and 1 for ``nonrel``; r(z) is
+        the limit z b'(z) - a'(z), which the interior point reads from it.
     H : callable
         Level map z B(x) - A(x), bit-identical to that expression on
         floats and arrays (the sign of the zero at x = z included).
@@ -346,7 +349,7 @@ def find_w(m: SystemModel) -> float:
     else:
         w = _verified("w", m.w,
                       lambda x: (m.a0 + 1.0) * x * m.b(x) - m.a(x))
-    if not ((m.a0 + 1.0) * w > m.z >= w - 1e-15 and w > 0.0):
+    if not ((m.a0 + 1.0) * w > m.z >= w and w > 0.0):
         raise HypothesisError(
             f"ordering (a0+1)w > z >= w > 0 violated: w={w}, z={m.z}",
             point=(w, m.z))
@@ -367,11 +370,6 @@ def r_factor(m: SystemModel, x):
     return r if np.ndim(r) else float(r)
 
 
-def r_at_z(m: SystemModel) -> float:
-    """Limit value r(z) = z b'(z) - a'(z)."""
-    return float(m.z * m.b_prime(m.z) - m.a_prime(m.z))
-
-
 @dataclass(frozen=True)
 class EquilibriumData:
     """Structural constants of one family member, numerically verified."""
@@ -383,11 +381,13 @@ class EquilibriumData:
 
 
 def equilibrium(m: SystemModel) -> EquilibriumData:
-    """Locate and verify z, w, x0 and the limit r(z) for the model."""
+    """Locate and verify z, w and x0, and read r(z) from the closed form."""
     z = find_z(m)
     w = find_w(m)
     x0 = find_x0(m)
-    r = r_at_z(m)
+    r = float(m.r(z))
+    if not math.isfinite(z * r):
+        raise DomainError(f"r(z) overflows: r(z) = {r!r} at z = {z!r}")
     if r < 0.0:
         raise HypothesisError(f"r(z) = {r} is negative", point=(z, z))
     return EquilibriumData(z=z, w=w, x0=x0, r_at_z=r)

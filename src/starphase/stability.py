@@ -3,7 +3,7 @@
 The origin is always a saddle with eigenpairs (-1, [1, 0]) and
 (a(0), [1, a(0) + 1]); the slope a(0) + 1 of the second eigenvector is
 the launch direction used by the heteroclinic shooter.  At the interior
-point (z, z) the eigenvalues satisfy
+point (z, z) the Jacobian [[-1, 1], [-z r(z), -a(z)]] has the eigenvalues
 
     2 lambda = -(1 + a(z)) +- sqrt((1 - a(z))^2 - 4 z r(z))
 
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .models import SystemModel, r_at_z
+from .models import SystemModel
 
 SADDLE = "saddle"
 STABLE_SPIRAL = "stable spiral"
@@ -44,7 +44,7 @@ def linearize_origin(m: SystemModel):
 
 
 def interior_jacobian(m: SystemModel) -> np.ndarray:
-    """Jacobian [[-1, 1], [a'(z) z - b'(z) z^2, a(z) - 2 b(z) z]] at (z, z)."""
+    """Jacobian [[-1, 1], [-z r(z), -a(z)]] at (z, z), as a(z) = z b(z)."""
     return _interior(m)[0]
 
 
@@ -65,18 +65,17 @@ def linearize_interior(m: SystemModel):
 def _interior(m: SystemModel):
     """``linearize_interior`` and the discriminant, from one a(z) and r(z)."""
     z = m.z
-    az = float(m.a(z))
-    jac = np.array([[-1.0, 1.0],
-                    [float(m.a_prime(z)) * z - float(m.b_prime(z)) * z * z,
-                     az - 2.0 * float(m.b(z)) * z]])
-    disc = (1.0 - az) ** 2 - 4.0 * z * r_at_z(m)
+    az, zr = float(m.a(z)), z * float(m.r(z))
+    if not cmath.isfinite(complex(az, zr)):
+        raise DomainError(f"a(z) = {az!r} or z r(z) = {zr!r} overflows")
+    jac = np.array([[-1.0, 1.0], [-zr, 0.0 - az]])  # +0.0 where a(z) = 0.0
+    disc = (1.0 - az) ** 2 - 4.0 * zr
     root = cmath.sqrt(complex(disc))
     lam_plus = (-(1.0 + az) + root) / 2.0
     lam_minus = (-(1.0 + az) - root) / 2.0
-    if disc < 0.0:
-        cls = STABLE_SPIRAL if lam_plus.real < 0.0 else UNSTABLE
-    else:
-        cls = STABLE_NODE if max(lam_plus.real, lam_minus.real) < 0.0 else UNSTABLE
+    # the root's real part is nonnegative, so lam_plus leads in real part
+    kind = STABLE_SPIRAL if disc < 0.0 else STABLE_NODE
+    cls = kind if lam_plus.real < 0.0 else UNSTABLE
     return jac, (lam_plus, lam_minus), cls, disc
 
 

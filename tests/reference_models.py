@@ -1,10 +1,12 @@
 """Oracles for the closed-form ``r``, the hypothesis check and the
 verification of z, w and x0.
 
-``reference_r_factor`` is the guarded quotient that ``models.r_factor``
-was before the model carried r in closed form: it divides z b(x) - a(x)
-by x - z and returns the derivative limit inside the absolute band
-|x - z| < SINGULARITY_GUARD.  ``reference_check_hypotheses`` is
+``reference_r_at_z`` is ``models.r_at_z`` as it was before the interior
+point read r(z) from the closed form ``m.r``: the derivative limit
+z b'(z) - a'(z).  ``reference_r_factor`` is the guarded quotient that
+``models.r_factor`` was before the model carried r in closed form: it
+divides z b(x) - a(x) by x - z and returns the derivative limit inside
+the absolute band |x - z| < SINGULARITY_GUARD.  ``reference_check_hypotheses`` is
 ``bounds.check_hypotheses`` as it was when it sampled r through that
 quotient and built its grids with ``np.linspace``.
 ``reference_verified`` is ``models._verified`` as it was before the
@@ -27,11 +29,16 @@ from starphase import models
 from starphase.bounds import bound_X, kappa_constants
 from starphase.errors import HypothesisError
 from starphase.models import (VERIFY_TOL, Family, ModelSpec, SystemModel,
-                              find_w, make_model, r_at_z)
+                              find_w, make_model)
 from starphase.rootfind import solve_bracketed
 
 #: |x - z| below this: the quotient switches to its derivative limit
 SINGULARITY_GUARD = 1e-7
+
+
+def reference_r_at_z(m: SystemModel) -> float:
+    """Limit value r(z) = z b'(z) - a'(z)."""
+    return float(m.z * m.b_prime(m.z) - m.a_prime(m.z))
 
 
 def reference_r_factor(m: SystemModel, x):
@@ -43,7 +50,7 @@ def reference_r_factor(m: SystemModel, x):
     """
     m.check_x(x)
     x = np.asarray(x, dtype=float)
-    limit = r_at_z(m)
+    limit = reference_r_at_z(m)
     near = np.abs(x - m.z) < SINGULARITY_GUARD
     denom = np.where(near, 1.0, x - m.z)
     quotient = (m.z * m.b(x) - m.a(x)) / denom

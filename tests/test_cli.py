@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 
 import starphase as sp
-from starphase import cli
+from starphase import cli, lyapunov
 
 from conftest import wide_scales
 
@@ -24,6 +24,45 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_strict(*argv):
+    """``run`` with every warning raised as an error, for Hypothesis
+    tests (which cannot take the function-scoped ``capsys``)."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def strict_json(text):
+    """``json.loads`` that refuses Infinity and NaN, which RFC 8259 JSON
+    does not allow."""
+    def refuse(name):
+        raise ValueError(f"non-finite JSON constant {name}")
+    return json.loads(text, parse_constant=refuse)
+
+
+#: stiff points (x, y) of the scale law of V, shrunk by 1/s for (1, s)
+LAW_POINTS = ((0.55, 0.6), (0.7, 0.4), (0.9, 0.2))
+
+#: below this scale the level map H overflows in P x at x = 0.9/s
+H_FLOOR = 3.0 * 0.9 / sys.float_info.max
+
+
+def assert_level_map_law(s):
+    """lyapunov.H and lyapunov_value of (1, s) at LAW_POINTS / s are
+    stiff's over s; near z they cancel to about 5e-14."""
+    m, stiff = sp.model("scaled", scale=s), sp.model("stiff")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x, y in LAW_POINTS:
+            assert lyapunov.H(m, x / s) * s == pytest.approx(
+                lyapunov.H(stiff, x), rel=1e-12, abs=0.0)
+            assert sp.lyapunov_value(m, x / s, y / s) * s == pytest.approx(
+                sp.lyapunov_value(stiff, x, y), rel=1e-12, abs=0.0)
 
 
 class TestAnalyze:
@@ -67,6 +106,59 @@ class TestAnalyze:
             m = sp.model("kappa", kappa=float(kappa))
             assert (eq["z"], eq["w"], eq["x0"]) == (m.z, m.w, m.x0)
 
+    @settings(max_examples=150, deadline=None)
+    @given(s=wide_scales())
+    def test_scale_law_at_any_scale(self, s):
+        # the member (1, s) is stiff shrunk by 1/s: its lengths scale by
+        # 1/s, r(z) by s, V by 1/s, and its spectrum not at all; b' = s^2
+        # under- or overflowed, so 1e-200 read Im lambda = sqrt(2) and
+        # 1e160 an "unstable" point with NaN eigenvalues
+        code, out, err = run_strict("analyze", "--model", "scaled",
+                                    "--scale", repr(s))
+        if code != 0:
+            assert code == 3 and out == ""
+            lines = err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: ")
+            return
+        doc = strict_json(out)
+        want = strict_json(run_strict("analyze", "--model", "stiff")[1])
+        assert doc["stability"]["origin"] == want["stability"]["origin"]
+        got, ref = doc["stability"]["interior"], want["stability"]["interior"]
+        assert got["classification"] == ref["classification"]
+        eq, eq_ref = doc["equilibrium"], want["equilibrium"]
+        pairs = [(eq[k] * s, eq_ref[k]) for k in ("z", "w", "x0")]
+        pairs.append((eq["r_at_z"] / s, eq_ref["r_at_z"]))
+        pairs.append((got["discriminant"], ref["discriminant"]))
+        pairs += [(lam[k], lam_ref[k]) for lam, lam_ref in zip(
+            got["eigenvalues"], ref["eigenvalues"]) for k in ("re", "im")]
+        for value, stiff in pairs:
+            assert value == pytest.approx(stiff, rel=1e-15, abs=0.0)
+        for row, row_ref in zip(got["jacobian"], ref["jacobian"]):
+            assert row == pytest.approx(row_ref, rel=0.0, abs=1e-15)
+        if s >= H_FLOOR:
+            assert_level_map_law(s)
+
+    @pytest.mark.xfail(raises=RuntimeWarning, reason="H overflows in P x")
+    @pytest.mark.parametrize("s", [1e-308, 1.4e-308])
+    def test_level_map_law_below_its_floor(self, s):
+        # stiff's H and V over s are finite at these points, but the
+        # level map forms P x = 2.7/s at x = 0.9/s, which overflows
+        assert s < H_FLOOR
+        assert_level_map_law(s)
+
+    @pytest.mark.parametrize("scale", ["5.992310449541053e307", "1e308",
+                                       "1.7976931348623157e308"])
+    def test_scale_whose_c_overflows_exit_3(self, capsys, scale):
+        # the z sign test failed on c x = -inf ("objective has no sign
+        # change ... (values -inf, -inf)")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "analyze", "--model", "scaled",
+                                 "--scale", scale)
+        assert code == 3 and out == ""
+        assert err == (f"error: scale = {float(scale)!r} is too large: "
+                       "c = 3 scale overflows\n")
+
 
 class TestBound:
     def test_stiff(self, capsys):
@@ -96,22 +188,17 @@ class TestBound:
     @given(s=wide_scales())
     def test_scaled_bound_at_any_scale(self, s):
         # a bound that is stiff over s, or exit 3 or 4 with one error line
-        out, err = io.StringIO(), io.StringIO()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with contextlib.redirect_stdout(out), \
-                    contextlib.redirect_stderr(err):
-                code = cli.main(["bound", "--model", "scaled",
-                                 "--scale", repr(s)])
+        code, out, err = run_strict("bound", "--model", "scaled",
+                                    "--scale", repr(s))
         assert code in (0, 3, 4)
         if code == 0:
-            doc = json.loads(out.getvalue())
+            doc = json.loads(out)
             for key in ("X_numeric", "X_closed"):
                 assert doc[key] * s == pytest.approx(X_STIFF, rel=1e-14,
                                                      abs=0.0)
         else:
-            assert out.getvalue() == ""
-            lines = err.getvalue().splitlines()
+            assert out == ""
+            lines = err.splitlines()
             assert len(lines) == 1 and lines[0].startswith("error: ")
 
     @pytest.mark.parametrize("scale", ["1e-310", "5e-324"])

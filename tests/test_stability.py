@@ -6,7 +6,7 @@ import pytest
 
 import starphase as sp
 from starphase import stability
-from starphase.models import r_at_z
+from reference_models import reference_r_at_z
 
 SQRT3 = math.sqrt(3.0)
 SQRT7 = math.sqrt(7.0)
@@ -107,6 +107,35 @@ class TestInterior:
         for a, b in zip(eig_sc, eig_st):
             assert abs(a - b) < 1e-9
 
+    @pytest.mark.parametrize("az, zr, want", [
+        (0.5, 0.05, stability.STABLE_NODE),
+        (1.0, 3.0, stability.STABLE_SPIRAL),
+        (-2.0, 0.5, stability.UNSTABLE),  # node
+        (-2.0, 3.0, stability.UNSTABLE),  # spiral
+    ])
+    def test_classification_matches_eigensolver(self, models, az, zr, want):
+        # hand-built a(z) and z r(z) reach the node and unstable verdicts,
+        # which no member of the family does
+        base = models["stiff"]
+        m = dataclasses.replace(base, a=lambda x: az + 0.0 * x,
+                                r=lambda x: zr / base.z + 0.0 * x)
+        jac, _, cls = sp.linearize_interior(m)
+        assert cls == want
+        stable = bool(max(np.linalg.eigvals(jac).real) < 0.0)
+        assert stable == (want != stability.UNSTABLE)
+
+    @pytest.mark.parametrize("field", ["a", "r"])
+    def test_non_finite_interior_is_refused(self, models, field):
+        # an overflowing a(z) or z r(z) read "unstable" with NaN
+        # eigenvalues
+        m = dataclasses.replace(models["stiff"],
+                                **{field: lambda x: math.inf + 0.0 * x})
+        with pytest.raises(sp.DomainError, match="overflows"):
+            sp.stability_report(m)
+        if field == "r":
+            with pytest.raises(sp.DomainError, match="r\\(z\\) overflows"):
+                sp.equilibrium(m)
+
 
 class TestJacobianFD:
     def test_matches_analytic_at_interior_point(self, each_model):
@@ -158,8 +187,9 @@ class TestReport:
 
     def test_evaluates_a_and_r_once(self, each_model):
         # the report recomputed a(z) and the discriminant after
-        # linearize_interior had computed them
-        calls = {"a": 0, "a_prime": 0}
+        # linearize_interior had computed them; the interior point reads
+        # the closed forms a and r, and no derivative
+        calls = {"a": 0, "r": 0, "a_prime": 0, "b_prime": 0}
 
         def counting(name):
             f = getattr(each_model, name)
@@ -171,9 +201,11 @@ class TestReport:
 
         m = dataclasses.replace(each_model, **{k: counting(k) for k in calls})
         rep = sp.stability_report(m)
-        assert calls == {"a": 1, "a_prime": 2}
-        az = float(m.a(m.z))
-        assert rep.discriminant == (1.0 - az) ** 2 - 4.0 * m.z * r_at_z(m)
+        assert calls == {"a": 1, "r": 1, "a_prime": 0, "b_prime": 0}
+        az, r = float(m.a(m.z)), float(m.r(m.z))
+        assert rep.discriminant == (1.0 - az) ** 2 - 4.0 * (m.z * r)
+        assert rep.discriminant == pytest.approx(
+            (1.0 - az) ** 2 - 4.0 * m.z * reference_r_at_z(m), rel=1e-13)
         jac, eigs, cls = sp.linearize_interior(m)
         assert rep.interior_jacobian.tolist() == jac.tolist()
         assert rep.interior_eigenvalues == eigs

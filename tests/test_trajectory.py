@@ -435,7 +435,7 @@ class TestTrapRegion:
     def test_passes_or_refuses_at_any_scale(self, s):
         try:
             m = sp.model("scaled", scale=s)
-        except ValueError:  # x_max = 1/s overflows
+        except ValueError:  # x_max = 1/s or c = 3 s overflows
             return
         with warnings.catch_warnings():
             warnings.simplefilter("error")
