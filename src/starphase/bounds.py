@@ -69,7 +69,10 @@ def invert_H(m: SystemModel, level: float) -> float:
     (geometrically for an unbounded domain, halving the gap otherwise),
     where H is still defined.  Every probe lies in [z, x_end), so H's
     domain check is made once, at z.  The solve's tolerance is ROOT_XTOL
-    x_max (ROOT_XTOL for ``nonrel``).
+    x_max (ROOT_XTOL for ``nonrel``), its objective (H - level) 2^k with
+    1 <= 2^k x_max < 2: an exact factor that leaves Brent's iterates as
+    they are and keeps its products f dx normal on a tiny member
+    (``scaled`` above a scale of about 1e158).
 
     Raises
     ------
@@ -87,9 +90,11 @@ def invert_H(m: SystemModel, level: float) -> float:
     if level < 0.0:
         raise DomainError("H levels are nonnegative on [z, x_max)")
     ell = x_max if x_max < math.inf else 1.0
+    k = 1 - math.frexp(ell)[1]
     try:
-        return rootfind.solve_bracketed(lambda x: H(x) - level, z, x_end,
-                                        rootfind.ROOT_XTOL * ell)
+        return rootfind.solve_bracketed(
+            lambda x: math.ldexp(H(x) - level, k), z, x_end,
+            rootfind.ROOT_XTOL * ell)
     except ConvergenceError:
         sup = H(x_end) if x_end < math.inf else math.inf
         if not sup < level:  # the walk found a bracket; brentq gave up

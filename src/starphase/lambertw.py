@@ -1,9 +1,10 @@
 """Real branches of the Lambert W function (inverse of w -> w e^w).
 
 Halley iteration seeded by a series approximation near the branch point
--1/e and by log-based asymptotics elsewhere, with a bisection fallback
-on the rare seeds Halley fails to polish.  Accuracy target: the
-round-trip w e^w reproduces the argument to 1e-14 relative.
+-1/e and by log-based asymptotics elsewhere.  Accuracy target: the
+round-trip w e^w reproduces the argument to 1e-14 relative.  Where
+w e^w underflows (lower branch, subnormal arg), Newton's method solves
+w + log(-w) = log(-arg) instead.
 
 Branches
 --------
@@ -25,23 +26,20 @@ BRANCH_POINT = -math.exp(-1.0)
 
 _MAX_HALLEY = 100
 
+#: smallest normal double; below it in magnitude w e^w underflows on W_-1
+_TINY = 2.2250738585072014e-308
 
-def _halley(arg: float, w: float) -> float | None:
-    """Polish a seed; returns None when the iteration stalls.
 
-    Accepts on either a tiny residual w e^w - arg (the criterion that
+def _halley(arg: float, w: float) -> float:
+    """Polish a seed.  Accepts on either a tiny residual w e^w - arg (the criterion that
     matters near w = -1, where steps stagnate above round-off) or a
     step below round-off (the criterion for large w, where residual
     cancellation keeps the relative residual at eps * |w|).
     """
-    best_w, best_f = w, math.inf
     for _ in range(_MAX_HALLEY):
         ew = math.exp(w)
         f = w * ew - arg
-        af = abs(f)
-        if af < best_f:
-            best_w, best_f = w, af
-        if af <= 8e-16 * abs(arg):
+        if abs(f) <= 8e-16 * abs(arg):
             return w
         wp1 = w + 1.0
         if wp1 == 0.0:
@@ -54,34 +52,20 @@ def _halley(arg: float, w: float) -> float | None:
         w -= dw
         if abs(dw) <= 2e-16 * (2.0 + abs(w)):
             return w
-    if best_f <= 1e-14 * abs(arg):
-        return best_w
-    return None
+    raise ConvergenceError(f"Lambert W failed to converge at {arg}")
 
 
-def _bisect(arg: float, branch: int) -> float:
-    """Full-precision bisection on the monotone piece of w e^w."""
-    f = lambda w: w * math.exp(w) - arg
-    if branch == 0:
-        lo, hi = -1.0, 1.0
-        while f(hi) < 0.0:
-            hi *= 2.0
-    else:
-        lo, hi = -1.0, -1.0
-        while f(lo) < 0.0:
-            lo *= 2.0
-            if lo < -750.0:
-                raise ConvergenceError("lower-branch bisection bracket failed")
-        lo, hi = lo, -1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if (f(mid) > 0.0) == (f(hi) > 0.0):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+def _lower_tail(arg: float) -> float:
+    """W_-1 for -_TINY < arg < 0 by Newton on w + log(-w) = L = log(-arg),
+    from L - log(-L)."""
+    L = math.log(-arg)
+    w = L - math.log(-L)
+    for _ in range(_MAX_HALLEY):
+        dw = (w + math.log(-w) - L) / (1.0 + 1.0 / w)
+        w -= dw
+        if abs(dw) <= 2e-16 * abs(w):
+            return w
+    raise ConvergenceError(f"Lambert W failed to converge at {arg}")
 
 
 def _seed(arg: float, branch: int) -> float:
@@ -112,6 +96,8 @@ def lambert_w(arg: float, branch: int = 0) -> float:
     ------
     DomainError
         If ``arg`` is NaN or lies outside the branch's domain.
+    ConvergenceError
+        If the iteration overruns its budget or ends on the other branch.
     """
     if branch not in (0, -1):
         raise ValueError(f"branch must be 0 or -1, got {branch}")
@@ -128,13 +114,13 @@ def lambert_w(arg: float, branch: int = 0) -> float:
         return 0.0
     if arg == math.inf:
         return math.inf
-    w = _halley(arg, _seed(arg, branch))
-    if w is not None and (w < -1.0 - 1e-6 if branch == 0 else w > -1.0 + 1e-6):
-        w = None  # iteration slid onto the other branch: discard
-    if w is None:
-        w = _halley(arg, _bisect(arg, branch))
-        if w is None:
-            raise ConvergenceError(f"Lambert W failed to converge at {arg}")
+    if branch == -1 and arg > -_TINY:
+        w = _lower_tail(arg)
+    else:
+        w = _halley(arg, _seed(arg, branch))
+    if (w < -1.0 - 1e-6) if branch == 0 else (w > -1.0 + 1e-6):
+        raise ConvergenceError(
+            f"Lambert W iteration at {arg} slid onto the other branch")
     # absorb round-off at the branch seam
     if branch == 0 and w < -1.0:
         w = -1.0

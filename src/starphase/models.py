@@ -305,13 +305,20 @@ def model(family: Family | str, kappa: float | None = None,
 
 
 def eval_field(m: SystemModel, x, y):
-    """Vector field (dx, dy) = (y - x, a(x) y - b(x) y^2).
+    """Vector field (dx, dy) = (y - x, a(x)*y - b(x)*y*y).
 
     Accepts scalars or arrays; y = 0 is admissible and yields dy = 0.
+    The grouping is ``m.field``'s, bit for bit.  Raises DomainError
+    naming how many dy are not finite (``scaled`` below about 1e-308).
     """
     m.check_xy(x, y)
     dx = np.asarray(y, dtype=float) - x
-    dy = m.a(x) * y - m.b(x) * np.square(y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dy = m.a(x) * y - m.b(x) * y * y
+    bad = np.size(dy) - np.count_nonzero(np.isfinite(dy))
+    if bad:
+        raise DomainError(f"the field overflows: dy is not finite at {bad} "
+                          f"of {np.size(dy)} points")
     return dx, dy
 
 

@@ -42,8 +42,9 @@ def field_grid(m: SystemModel, x_range, y_range, nx: int, ny: int):
 
     Returns (grid, U, W) where grid is the LevelSetGrid of V and U, W
     hold the field components (nan outside the domain).  Raises
-    DomainError if the field overflows on a valid node, as it does on
-    the default box of a ``scaled`` member below a scale of about 1e-154.
+    DomainError from ``eval_field`` if dy is not finite on a valid node,
+    as on the default box of a ``scaled`` member below a scale of about
+    1e-306.
     """
     grid = level_set_grid(m, x_range, y_range, nx, ny)
     X, Y = np.meshgrid(grid.xs, grid.ys, indexing="ij")
@@ -51,13 +52,7 @@ def field_grid(m: SystemModel, x_range, y_range, nx: int, ny: int):
     W = np.full_like(X, np.nan)
     v = grid.valid
     if v.any():
-        with np.errstate(over="ignore", invalid="ignore"):
-            U[v], W[v] = eval_field(m, X[v], Y[v])
-        bad = np.count_nonzero(~np.isfinite(W[v]))
-        if bad:
-            raise DomainError(
-                f"the field overflows on this plot box: dy is not finite "
-                f"at {bad} of {np.count_nonzero(v)} nodes")
+        U[v], W[v] = eval_field(m, X[v], Y[v])
     return grid, U, W
 
 
@@ -268,7 +263,7 @@ def portrait_svg(m: SystemModel, x_range, y_range, nx: int, ny: int,
     u, w, norm, x, y = u[keep], w[keep], norm[keep], X[keep], Y[keep]
     if x.size:
         ax, ay = to_px(x, y)
-        bx, by = to_px(x + arrow * u / norm, y + arrow * w / norm)
+        bx, by = to_px(x + arrow * (u / norm), y + arrow * (w / norm))
         svg = ('<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" stroke="#444" '
                'stroke-width="0.8"/>\n'
                '<circle cx="%.2f" cy="%.2f" r="1.2" fill="#444"/>')

@@ -42,9 +42,9 @@ def drawn_models():
 #: scales that ``wide_scales`` always tries: two whose x_max overflows
 #: (``ModelSpec`` refuses them), the smallest it accepts, one where H
 #: overflows near x_max and one where it just does not, two ordinary
-#: ones, two where brentq's steps underflow (1e300 runs out), one where
-#: r(z) = 6 s overflows, the largest it accepts, one whose c = 3 s
-#: overflows and the largest finite double (refused)
+#: ones, two where brentq's steps underflowed before ``invert_H`` scaled
+#: its objective, one where r(z) = 6 s overflows, the largest it accepts,
+#: one whose c = 3 s overflows and the largest finite double (refused)
 SCALE_EDGES = (1e-310, 5.562684646268003e-309, 5.56268464626801e-309,
                6e-309, 1e-307, 1.0, 1e12, 1e156, 1e300, 4e307,
                5.992310449541052e307, 5.992310449541053e307,

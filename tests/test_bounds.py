@@ -320,14 +320,18 @@ class TestInvertH:
                 f"H overflows near x_max = {m.x_max:g}: ")):
             sp.invert_H(m, sp.excess_E(m))
 
-    def test_brentq_budget_is_not_unreachable(self):
-        # the level is reached at x_max / 1.44, but brentq's steps f dx
-        # fall below the smallest normal double and its budget runs out
-        m = sp.model("scaled", scale=1e300)
-        with pytest.raises(sp.ConvergenceError, match="brentq"):
-            sp.invert_H(m, sp.excess_E(m))
+    def test_brentq_budget_is_not_unreachable(self, models):
+        # the level is reached at x_max / 1.44; brentq's steps f dx fell
+        # below the smallest normal double and its budget ran out, until
+        # the objective was scaled by 2^k ~ 1/x_max
+        s, stiff = 1e300, models["stiff"]
+        m = sp.model("scaled", scale=s)
+        got = sp.invert_H(m, sp.excess_E(m))
+        want = sp.invert_H(stiff, sp.excess_E(stiff))
+        assert got * s == pytest.approx(want, rel=4e-15, abs=0.0)
 
-    @pytest.mark.parametrize("e", [-3.0, 0.0, 3.0, 9.0, 12.0, 100.0])
+    @pytest.mark.parametrize("e", [-3.0, 0.0, 3.0, 9.0, 12.0, 100.0, 159.0,
+                                   200.0, 300.0])
     def test_root_of_a_member_is_stiff_root_over_scale(self, models, e):
         # the member (1, s) is stiff shrunk by 1/s, its levels with it;
         # the root tolerance ROOT_XTOL x_max shrinks along

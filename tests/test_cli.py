@@ -4,8 +4,11 @@ import io
 import json
 import math
 import os
+import pathlib
+import shlex
 import subprocess
 import sys
+import tempfile
 import warnings
 
 import pytest
@@ -37,6 +40,13 @@ def run_strict(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def assert_finite_portrait(path):
+    """Every number in a portrait file is finite: ``repr`` and ``%.2f``
+    write a non-finite float as nan or inf."""
+    text = path.read_text()
+    assert "nan" not in text and "inf" not in text
+
+
 def strict_json(text):
     """``json.loads`` that refuses Infinity and NaN, which RFC 8259 JSON
     does not allow."""
@@ -50,6 +60,9 @@ LAW_POINTS = ((0.55, 0.6), (0.7, 0.4), (0.9, 0.2))
 
 #: below this scale the level map H overflows in P x at x = 0.9/s
 H_FLOOR = 3.0 * 0.9 / sys.float_info.max
+
+#: the largest scale that ``ModelSpec`` accepts (c = 3 scale is finite)
+MAX_SCALE = 5.992310449541052e307
 
 
 def assert_level_map_law(s):
@@ -187,10 +200,14 @@ class TestBound:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(s=wide_scales())
     def test_scaled_bound_at_any_scale(self, s):
-        # a bound that is stiff over s, or exit 3 or 4 with one error line
+        # a bound that is stiff over s from the H floor up to the largest
+        # accepted scale (it exited 4 from about 1e159, as brentq's steps
+        # underflowed), else exit 3 with one error line
         code, out, err = run_strict("bound", "--model", "scaled",
                                     "--scale", repr(s))
-        assert code in (0, 3, 4)
+        assert code in (0, 3)
+        if H_FLOOR <= s <= MAX_SCALE:
+            assert code == 0, err
         if code == 0:
             doc = json.loads(out)
             for key in ("X_numeric", "X_closed"):
@@ -581,18 +598,25 @@ class TestPortrait:
     @pytest.mark.parametrize("ext", ["svg", "csv"])
     @pytest.mark.parametrize("scale", ["1e-160", "1e-300"])
     def test_overflowing_field_exit_3(self, capsys, tmp_path, ext, scale):
-        # the default box of these members squares y above the float
-        # range: the SVG was written with nan arrows, the CSV with inf
+        # the default box of these members squared y above the float
+        # range and exited 3; b(x)*y*y stays in range, so they write
+        # finite numbers, and the field overflows only from about 3e-307
         path = tmp_path / f"field.{ext}"
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
+            code, _, err = run(capsys, "portrait", "--model", "scaled",
+                               "--scale", scale, "--grid", "24,24",
+                               "--out", str(path))
+            assert code == 0, err
+            assert_finite_portrait(path)
+            bad = tmp_path / f"bad.{ext}"
             code, out, err = run(capsys, "portrait", "--model", "scaled",
-                                 "--scale", scale, "--grid", "24,24",
-                                 "--out", str(path))
+                                 "--scale", "1e-307", "--grid", "24,24",
+                                 "--out", str(bad))
         assert code == 3
-        assert out == "" and not path.exists()
-        assert err == ("error: the field overflows on this plot box: dy is "
-                       "not finite at 576 of 576 nodes\n")
+        assert out == "" and not bad.exists()
+        assert err == ("error: the field overflows: dy is not finite at 28 "
+                       "of 576 points\n")
 
     @pytest.mark.parametrize("ext", ["svg", "csv"])
     def test_overflowing_field_entry_point(self, tmp_path, ext):
@@ -603,13 +627,47 @@ class TestPortrait:
             p for p in (src, env.get("PYTHONPATH")) if p)
         proc = subprocess.run(
             [sys.executable, "-W", "error::RuntimeWarning", "-m", "starphase",
-             "portrait", "--model", "scaled", "--scale", "1e-160",
+             "portrait", "--model", "scaled", "--scale", "1e-307",
              "--grid", "24,24", "--out", str(path)],
             env=env, capture_output=True, text=True, timeout=60)
         assert proc.returncode == 3
         assert proc.stdout == "" and not path.exists()
         assert proc.stderr.count("\n") == 1
-        assert proc.stderr.startswith("error: the field overflows")
+        assert proc.stderr.startswith("error: the field overflows: dy is")
+
+    @settings(max_examples=60, deadline=None)
+    @given(s=wide_scales())
+    def test_trap_and_portrait_scale_law(self, s):
+        # (1, s) is stiff shrunk by 1/s: its trap facts are stiff's and its
+        # portrait is finite, unless the field overflows, which is named
+        try:
+            m = sp.model("scaled", scale=s)
+        except ValueError:  # x_max = 1/s or c = 3 s overflows
+            m = None
+        if m is not None:
+            stiff = sp.check_trap_region(sp.model("stiff"))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    rep = sp.check_trap_region(m)
+                except sp.DomainError as exc:
+                    assert "dy is not finite" in str(exc)
+                else:
+                    assert rep.passed is True
+                    assert rep.line_margin == pytest.approx(
+                        stiff.line_margin, rel=1e-9, abs=0.0)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = pathlib.Path(tmp) / "x.csv"
+            code, out, err = run_strict("portrait", "--model", "scaled",
+                                        "--scale", repr(s), "--grid", "24,24",
+                                        "--out", str(path))
+            assert out == ""
+            if code == 0:
+                assert_finite_portrait(path)
+            else:
+                assert code == 3 and not path.exists()
+                lines = err.splitlines()
+                assert len(lines) == 1 and lines[0].startswith("error: ")
 
     @pytest.mark.parametrize("ext", ["svg", "csv"])
     def test_small_scale_is_finite(self, capsys, tmp_path, ext):
@@ -646,6 +704,34 @@ class TestMasstable:
         assert values[2] == pytest.approx(0.6934159639728907, abs=1e-12)
         assert values[3] == pytest.approx(0.6211700518129574, abs=1e-12)
         assert 0.53 <= values[4] <= 0.57
+
+
+def readme_cli_examples():
+    """The ``starphase ...`` command lines of README's ``## CLI`` block,
+    each as its argument list, comments dropped."""
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text().split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:]
+            for line in block.splitlines() if line.startswith("starphase ")]
+
+
+class TestReadme:
+    def test_cli_examples_found(self):
+        examples = readme_cli_examples()
+        assert len(examples) == 6
+        assert [a[0] for a in examples] == ["analyze", "trajectory", "bound",
+                                            "bound", "portrait", "masstable"]
+
+    @pytest.mark.parametrize("argv", readme_cli_examples(), ids="_".join)
+    def test_cli_example_runs(self, argv, tmp_path, monkeypatch):
+        # the documented commands run as written: exit 0, with every
+        # named output file written
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run_strict(*argv)
+        assert code == 0, err
+        if "--out" in argv:
+            assert (tmp_path / argv[argv.index("--out") + 1]).is_file()
 
 
 class TestUsage:

@@ -149,6 +149,26 @@ class TestRoundTrip:
         assert abs(w * math.exp(w) - a) <= 1e-14 * max(abs(a), 1e-300)
 
 
+class TestLowerBranchSubnormal:
+    """Above -2.2250738585072014e-308 w e^w underflows on W_-1; the
+    bisection fallback's bracket walk gave up there (ConvergenceError)."""
+
+    @pytest.mark.parametrize("arg", [-5e-324, -1e-320, -1e-310, -2.2e-308])
+    def test_against_mpmath(self, arg):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            ref = float(mpmath.lambertw(mpmath.mpf(arg), -1).real)
+        assert sp.lambert_w(arg, -1) == pytest.approx(ref, rel=4e-16)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.floats(-2.2250738585072014e-308, -5e-324))
+    def test_solves_the_log_equation(self, a):
+        # w e^w = a as w + log(-w) = log(-a), which stays in range
+        w = sp.lambert_w(a, -1)
+        assert w <= -1.0
+        assert w + math.log(-w) == pytest.approx(math.log(-a), rel=4e-16)
+
+
 class TestAgainstScipy:
     def test_principal(self):
         rng = np.random.default_rng(21)

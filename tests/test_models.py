@@ -237,30 +237,25 @@ class TestEvalField:
         assert dx[1] == 0.0
 
 
-def unfused_field(m, x, y):
-    """The planar field from the coefficient callables, as the shoot
-    evaluated it before the model carried a fused one."""
-    return (y - x, m.a(x) * y - m.b(x) * y * y)
-
-
 class TestFusedField:
     """``m.field`` fuses a and b into one expression but must return
     ``(y - x, a(x)*y - b(x)*y*y)`` bit for bit on floats inside the
     shoot's box 0 <= x < x_end, y >= 0, and raise ``DomainError`` outside
-    it."""
+    it.  The oracle is ``eval_field``, which evaluates that expression
+    from the coefficient callables, on scalars and arrays alike."""
 
     def test_bit_identical_on_random_domain_points(self, each_model):
         m = each_model
         xs, ys = random_domain_points(m, 200_000, seed=3)
         got = [m.field(x, y) for x, y in zip(xs.tolist(), ys.tolist())]
         assert all(type(dy) is float for _, dy in got)
-        want = np.stack(unfused_field(m, xs, ys), axis=1)
+        want = np.stack(sp.eval_field(m, xs, ys), axis=1)
         assert same_bits(np.array(got), want)
         edge = [(0.0, 0.0), (0.0, m.z), (m.z, m.z), (m.z, 0.0)]
         if math.isfinite(m.x_end):
             edge.append((math.nextafter(m.x_end, 0.0), m.z))
         for x, y in edge:
-            assert same_bits(m.field(x, y), unfused_field(m, x, y)), (x, y)
+            assert same_bits(m.field(x, y), sp.eval_field(m, x, y)), (x, y)
 
     def test_domain_error_outside_the_box(self, each_model):
         m = each_model
@@ -281,7 +276,7 @@ class TestFusedField:
     def test_bit_identical_on_drawn_members(self, m, data, u):
         x, y = data.draw(drawn_points(m)), u * m.z
         if x < m.x_end:
-            assert same_bits(m.field(x, y), unfused_field(m, x, y))
+            assert same_bits(m.field(x, y), sp.eval_field(m, x, y))
         else:
             with pytest.raises(sp.DomainError):
                 m.field(x, y)
