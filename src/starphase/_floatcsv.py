@@ -1,4 +1,5 @@
-"""float64 columns straight to CSV bytes, equal to ``csv.writer`` over ``repr``.
+"""float64 arrays straight to text bytes: CSV fields equal to ``csv.writer``
+over ``repr`` (``float_slots``, ``write_csv``), and ``'%.2f' %`` for the SVG.
 
 ``repr(x)`` is the shortest decimal that reads back as x and, of those,
 the nearest (Gay's ``dtoa`` mode 0); exponent form iff decpt <= -4 or
@@ -26,18 +27,29 @@ values (+-0, nan, +-inf, subnormals), and those with a decision within
 
 The multiple M has nd = digits(M) - j leading digits, those of ``repr``,
 and decpt = digits(M) - s.
+
+``fixed2_slots`` writes ``'%.2f' % x``, the integer N nearest 100 |x|
+(ties to even) with its point moved two places.  For |x| < ``_F2_MAX``
+Dekker's product gives 100 |x| = p + e exactly, p < 2^52, so d = p -
+rint(p) is exact: where |d| < 1/2, |d + e| < 1/2 and N = rint(p); where
+|d| = 1/2, the sign of e moves N one step toward d, and e = 0 is a tie
+that ``rint`` has broken to even.  Other values (nan, +-inf, the large
+ones) go to ``%``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-#: bytes per value: sign, prefix 0.000, 17 digits and point, suffix e-XX
+#: bytes per ``float_slots`` value: sign, prefix 0.000, 17 digits and
+#: point, suffix e-XX
 SLOT = 28
 #: rows that ``write_csv`` formats at once; bounds its working set
-BLOCK = 2048
+BLOCK = 16384
 #: least margin of a decision taken on floats (see the docstring)
 _TOL = 1e-12
+#: |x| from which ``fixed2_slots`` hands a value to ``%``
+_F2_MAX = 1e13
 
 
 def _split(x):
@@ -54,10 +66,19 @@ _HI_H, _HI_L = _split(_HI)
 _P10 = 10 ** np.arange(19, dtype=np.int64)
 #: 2^(E-54), half the spacing of the doubles f 2^E, at E + 100
 _POW2 = 2.0 ** (np.arange(-100, 60) - 54.0)
+_PLACES = np.array([1000, 100, 10, 1], np.int32)
+_DIGITS = (np.arange(10000, dtype=np.int32)[:, None] // _PLACES % 10
+           + 48).astype(np.uint8)
 #: ASCII of 0000 .. 9999, each as one little-endian 4-byte word
-_QUADS = (np.arange(10000, dtype=np.int32)[:, None]
-          // np.array([1000, 100, 10, 1], np.int32) % 10
-          + 48).astype(np.uint8).view("<u4").ravel()
+_QUADS = _DIGITS.view("<u4").ravel()
+#: q < 10000 with its leading zeros as NULs (none for 0), then _QUADS
+_GROUPS = np.concatenate([_DIGITS * (np.arange(10000)[:, None] >= _PLACES),
+                          _DIGITS]).view("<u4").ravel()
+#: t < 1000 as "tt.t", its leading zero a NUL, then as "tt.t" in full
+_TAILS = np.tile(_DIGITS[:1000, [1, 2, 0, 3]], (2, 1))
+_TAILS[:, 2] = 46
+_TAILS[:100, 0] = 0
+_TAILS = _TAILS.view("<u4").ravel()
 _DP_MIN, _DP_MAX = -27, 17
 
 
@@ -164,6 +185,51 @@ def float_slots(v) -> np.ndarray:
     return out
 
 
+def fixed2_slots(v) -> np.ndarray:
+    """(n, w) uint8: row i holds ``'%.2f' % float(v[i])``, NUL-padded; w
+    is as narrow as the longest value allows."""
+    v = np.asarray(v, dtype=np.float64).ravel()
+    a = np.abs(v)
+    fast = a < _F2_MAX
+    a = np.where(fast, a, 0.0)
+    p = a * 100.0
+    ah, al = _split(a)
+    e = (ah * 100.0 - p) + al * 100.0  # 100 = hi, lo = 0 in Dekker's product
+    N = np.rint(p)
+    d = p - N
+    N = (N.astype(np.int64) + ((d == 0.5) & (e > 0.0)).view(np.int8)
+         - ((d == -0.5) & (e < 0.0)).view(np.int8))
+    # N < 1e16 in words: the sign, the groups of 4 digits that some N
+    # needs (leading zeros as NULs), "dd.d" and the last digit
+    top = N.max(initial=0)
+    groups = [N // 10 ** k % 10000 + 10000 * (N >= 10 ** (k + 4))
+              for k in (12, 8, 4) if top >= 10 ** k]
+    words = np.empty((v.size, len(groups) + 3), "<u4")
+    words[:, 0] = np.signbit(v) * np.uint32(45 << 24)
+    for i, g in enumerate(groups, 1):
+        words[:, i] = _GROUPS[g]
+    words[:, -2] = _TAILS[N // 10 % 1000 + 1000 * (N >= 10000)]
+    words[:, -1] = N % 10 + 48
+    out = words.view(np.uint8)[:, 3:-3]
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        text = [b"%.2f" % x for x in v[slow].tolist()]
+        width = max(out.shape[1], *map(len, text))
+        out = np.pad(out, ((0, 0), (0, width - out.shape[1])))
+        out[slow] = np.frombuffer(b"".join(t.ljust(width, b"\0")
+                                           for t in text),
+                                  np.uint8).reshape(slow.size, width)
+    return out
+
+
+def text_rows(n: int, *pieces) -> np.ndarray:
+    """(n, w) uint8: the pieces side by side, each either bytes (the same
+    in every row) or NUL-padded slots (one row each)."""
+    return np.concatenate(
+        [np.broadcast_to(np.frombuffer(p, np.uint8), (n, len(p)))
+         if isinstance(p, bytes) else p for p in pieces], axis=1)
+
+
 def write_csv(path, header, nrows: int, cells) -> None:
     """Write ``header`` and ``nrows`` CSV lines to ``path``; ``cells(lo, hi)``
     gives the NUL-padded fields of rows lo .. hi - 1 (``float_slots``)."""
@@ -171,9 +237,8 @@ def write_csv(path, header, nrows: int, cells) -> None:
         fh.write(",".join(header).encode("ascii") + b"\r\n")
         for lo in range(0, nrows, BLOCK):
             fields = cells(lo, min(lo + BLOCK, nrows))
-            comma = np.broadcast_to(np.uint8(44), (len(fields[0]), 1))
-            parts = [part for field in fields for part in (field, comma)]
-            parts[-1] = np.broadcast_to(np.uint8([13, 10]), (len(comma), 2))
-            lines = np.concatenate(parts, axis=1)
+            parts = [part for field in fields for part in (field, b",")]
+            parts[-1] = b"\r\n"
+            lines = text_rows(len(fields[0]), *parts)
             del fields, parts  # copied into lines
             fh.write(lines[lines != 0])

@@ -99,7 +99,8 @@ def write_grid_csv(path, grid: LevelSetGrid, header, columns) -> None:
     fields of an invalid node are empty."""
     # imported here, so that commands that write no CSV skip its set-up
     from ._floatcsv import SLOT, float_slots, write_csv
-    xs, ys = float_slots(grid.xs), float_slots(grid.ys)
+    xs, ys = np.split(float_slots(np.concatenate([grid.xs, grid.ys])),
+                      [len(grid.xs)])
     valid = grid.valid.ravel()
     flat = [np.ravel(c) for c in columns]
 

@@ -80,6 +80,9 @@ class ModelSpec:
         Positive rescaling sigma for ``scaled`` (default 8 pi); values
         below about 5.6e-309, where x_max = 1/sigma overflows, and above
         about 5.99e307, where c = 3 sigma overflows, are rejected.
+
+    Both are stored as Python floats, so that a member requested with
+    numpy scalars computes on floats (numpy scalars warn on overflow).
     """
 
     family: Family
@@ -98,6 +101,7 @@ class ModelSpec:
                 raise ValueError(
                     f"kappa = {self.kappa} is too small: beta = (1 + kappa)"
                     " / (2 kappa) overflows")
+            object.__setattr__(self, "kappa", k)
         elif self.kappa is not None:
             raise ValueError("kappa is only meaningful for the kappa family")
         if self.family is Family.SCALED_RELATIVISTIC:
@@ -106,13 +110,15 @@ class ModelSpec:
             if not (math.isfinite(self.scale) and self.scale > 0.0):
                 raise ValueError(
                     f"scale must be positive and finite, got {self.scale}")
-            if 1.0 / float(self.scale) == math.inf:
+            s = float(self.scale)
+            if 1.0 / s == math.inf:
                 raise ValueError(
                     f"scale = {self.scale} is too small: x_max = 1 / scale"
                     " overflows")
-            if 3.0 * float(self.scale) == math.inf:
+            if 3.0 * s == math.inf:
                 raise ValueError(f"scale = {self.scale} is too large: "
                                  "c = 3 scale overflows")
+            object.__setattr__(self, "scale", s)
         elif self.scale is not None:
             raise ValueError("scale is only meaningful for the scaled family")
 

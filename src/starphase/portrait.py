@@ -202,6 +202,11 @@ def marching_squares(grid: LevelSetGrid, level) -> list:
     return polylines
 
 
+def _text(rows) -> str:
+    """The rows, each after the one before, with their NULs dropped."""
+    return rows[rows != 0].tobytes().decode("ascii")
+
+
 def portrait_svg(m: SystemModel, x_range, y_range, nx: int, ny: int,
                  path, levels: int = 8, width: int = 640,
                  height: int = 480) -> None:
@@ -227,8 +232,10 @@ def portrait_svg(m: SystemModel, x_range, y_range, nx: int, ny: int,
              f'height="{height}" viewBox="0 0 {width} {height}">',
              f'<rect width="{width}" height="{height}" fill="white"/>']
 
-    # "%.2f" % v and f"{v:.2f}" give the same text for every float, so
-    # each polyline and all arrows are formatted by one %-format call
+    # every coordinate is written as "%.2f" % v writes it (f"{v:.2f}" is
+    # the same text), in bulk by ``fixed2_slots``; imported here, so that
+    # commands that write no SVG skip its set-up
+    from ._floatcsv import fixed2_slots, text_rows
     finite = grid.values[grid.valid]
     if finite.size:
         vmin = float(np.nanmin(finite))
@@ -237,18 +244,19 @@ def portrait_svg(m: SystemModel, x_range, y_range, nx: int, ny: int,
             grid, [vmin + q * (vmax - vmin)
                    for q in np.linspace(0.0, 1.0, levels + 2)[1:-1]])
         if lines:
-            # every vertex of every polyline mapped in one numpy pass
+            # every vertex of every polyline mapped in one numpy pass and
+            # written as one row "x,y ", the last of each line as "x,y\n"
             xy = np.fromiter(chain.from_iterable(chain.from_iterable(lines)),
                              float)
             xy[0::2], xy[1::2] = to_px(xy[0::2], xy[1::2])
-            coords = xy.tolist()
-            k = 0
-            for line in lines:
-                n = len(line)
-                pts = " ".join(["%.2f,%.2f"] * n) % tuple(coords[k:k + 2 * n])
-                k += 2 * n
-                parts.append(f'<polyline points="{pts}" fill="none" '
-                             f'stroke="#7a5fc0" stroke-width="1"/>')
+            slots = fixed2_slots(xy).reshape(len(xy) // 2, 2, -1)
+            sep = np.full((len(slots), 1), ord(" "), np.uint8)
+            sep[np.cumsum([len(line) for line in lines]) - 1] = ord("\n")
+            text = _text(text_rows(len(slots), slots[:, 0], b",",
+                                   slots[:, 1], sep))
+            parts.extend(f'<polyline points="{pts}" fill="none" '
+                         f'stroke="#7a5fc0" stroke-width="1"/>'
+                         for pts in text.split("\n")[:-1])
 
     # arrows on a thinned sub-grid, in (i, j) row-major order
     step_i = max(1, len(grid.xs) // 24)
@@ -264,11 +272,13 @@ def portrait_svg(m: SystemModel, x_range, y_range, nx: int, ny: int,
     if x.size:
         ax, ay = to_px(x, y)
         bx, by = to_px(x + arrow * (u / norm), y + arrow * (w / norm))
-        svg = ('<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" stroke="#444" '
-               'stroke-width="0.8"/>\n'
-               '<circle cx="%.2f" cy="%.2f" r="1.2" fill="#444"/>')
-        values = np.stack([ax, ay, bx, by, bx, by], axis=1).ravel().tolist()
-        parts.append("\n".join([svg] * x.size) % tuple(values))
+        sa, sb, sc, sd = fixed2_slots(np.stack([ax, ay, bx, by])).reshape(
+            4, x.size, -1)
+        text = _text(text_rows(
+            x.size, b'<line x1="', sa, b'" y1="', sb, b'" x2="', sc,
+            b'" y2="', sd, b'" stroke="#444" stroke-width="0.8"/>\n'
+            b'<circle cx="', sc, b'" cy="', sd, b'" r="1.2" fill="#444"/>\n'))
+        parts.append(text[:-1])
 
     zx, zy = to_px(m.z, m.z)
     parts.append(f'<circle cx="{zx:.2f}" cy="{zy:.2f}" r="3.5" '

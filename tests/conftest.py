@@ -1,4 +1,6 @@
 import math
+import os
+import subprocess
 import sys
 
 import numpy as np
@@ -25,6 +27,17 @@ FAMILY_ARGS = {
 }
 
 SIGMA = 8.0 * math.pi
+
+
+def run_python(code, *flags):
+    """Run ``code`` in a fresh interpreter with ``flags`` (such as ``-W
+    error``) and this package on its path; the completed process."""
+    src = os.path.dirname(os.path.dirname(sp.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *flags, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
 
 
 def drawn_models():

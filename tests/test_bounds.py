@@ -330,6 +330,22 @@ class TestInvertH:
         want = sp.invert_H(stiff, sp.excess_E(stiff))
         assert got * s == pytest.approx(want, rel=4e-15, abs=0.0)
 
+    @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-3, 1.0, 1e3,
+                                       1e160, 1e200, 1e300, 5e307])
+    def test_H_calls_do_not_grow_with_scale(self, scale):
+        # stiff takes 12; solved in x, Brent's products underflowed or
+        # overflowed beyond about 1e153 and below 1e-155 and the same
+        # solve took 35 (41 at 5e307) and 22 H evaluations
+        m, calls = sp.model("scaled", scale=scale), [0]
+
+        def counting(x):
+            calls[0] += 1
+            return m.H(x)
+
+        X = sp.invert_H(dataclasses.replace(m, H=counting), sp.excess_E(m))
+        assert X == sp.invert_H(m, sp.excess_E(m))
+        assert calls[0] <= 12
+
     @pytest.mark.parametrize("e", [-3.0, 0.0, 3.0, 9.0, 12.0, 100.0, 159.0,
                                    200.0, 300.0])
     def test_root_of_a_member_is_stiff_root_over_scale(self, models, e):

@@ -1,7 +1,9 @@
-"""Differential tests of the bulk float formatter against ``repr``.
+"""Differential tests of the bulk float formatters against ``repr`` and
+``'%.2f' %``.
 
 Every value's slot, with its NUL padding dropped, must equal ``repr`` of
-the value, element by element.
+the value (``float_slots``) or ``'%.2f' %`` of it (``fixed2_slots``),
+element by element.
 """
 
 import numpy as np
@@ -10,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from starphase import _floatcsv
-from starphase._floatcsv import SLOT, float_slots
+from starphase._floatcsv import SLOT, fixed2_slots, float_slots
+from conftest import run_python
 
 #: values near the edges of the fast path: +-0, the non-finite values,
 #: subnormals, both ends of [1e-28, 1e16), the largest double below 1e16,
@@ -23,15 +26,22 @@ EDGES = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 2.2250738585072014e-308,
          1e-4, np.nextafter(1e-4, 0.0), 1e-5, 0.1, 0.5, 1.0, 100.0]
 
 
-def mismatches(values):
-    """(value, got, repr) for every value whose slot differs from repr."""
+def mismatches(values, slots=float_slots, text=repr):
+    """(value, got, want) for every value whose slot differs from its
+    ``text``."""
     values = np.asarray(values, dtype=np.float64).ravel()
-    slots = float_slots(values)
-    assert slots.shape == (values.size, SLOT)
-    got = [bytes(row).replace(b"\0", b"").decode() for row in slots]
-    want = [repr(v) for v in values.tolist()]
+    rows = slots(values)
+    assert rows.shape[0] == values.size
+    if slots is float_slots:
+        assert rows.shape[1] == SLOT
+    got = [bytes(row).replace(b"\0", b"").decode() for row in rows]
+    want = [text(v) for v in values.tolist()]
     return [(v, g, w) for v, g, w in zip(values.tolist(), got, want)
             if g != w]
+
+
+def fixed2_mismatches(values):
+    return mismatches(values, fixed2_slots, lambda v: "%.2f" % v)
 
 
 def test_edges():
@@ -100,3 +110,83 @@ def test_seeded_draws(name):
     values = _draws(name, np.random.default_rng(2024))
     bad = mismatches(values)
     assert bad == [], bad[:5]
+
+
+# -- '%.2f' % v
+
+def _with_neighbours(values):
+    values = np.asarray(values, dtype=np.float64)
+    return np.concatenate([values, np.nextafter(values, -np.inf),
+                           np.nextafter(values, np.inf)])
+
+
+def test_fixed2_hundredths_and_halves_of_them():
+    # k/200 holds every tie 100 v = n + 1/2 that a double can hold; the
+    # float neighbours sit on either side of the rounding boundary
+    rng = np.random.default_rng(2024)
+    k = np.concatenate([np.arange(-40_000, 40_001),
+                        rng.integers(-10 ** 15, 10 ** 15, 40_000)])
+    assert fixed2_mismatches(_with_neighbours(k / 200.0)) == []
+
+
+def test_fixed2_signs_zeros_and_subnormals():
+    values = [0.0, -0.0, 0.001, -0.001, 0.005, -0.005, 0.0049999999999999,
+              -0.0050000000000001, 5e-324, -5e-324, 2.2250738585072014e-308,
+              -2.225073858507201e-308, 0.125, 0.375, 2.675, 99.995, 1e-200]
+    assert fixed2_mismatches(values) == []
+
+
+def test_fixed2_random_values():
+    rng = np.random.default_rng(7)
+    values = np.concatenate([
+        rng.uniform(-1e4, 1e4, 100_000),
+        rng.choice([-1.0, 1.0], 50_000) * 10.0 ** rng.uniform(-4, 13, 50_000)])
+    assert fixed2_mismatches(values) == []
+
+
+def test_fixed2_every_digit_group():
+    # the slot is as wide as its largest value needs: these cross each
+    # group of four digits, alone and mixed with small values
+    ends = [0.99, 9.995, 99.99, 99.995, 999999.99, 999999.995,
+            9999999999.99, 99999999999.995, 9999999999999.0]
+    for v in ends:
+        assert fixed2_mismatches(_with_neighbours([v, -v, 1.0])) == []
+
+
+def test_fixed2_past_the_fast_path():
+    # values from _F2_MAX up and the non-finite ones go to %, alone or
+    # among fast-path values, whose slots are then widened
+    lim = _floatcsv._F2_MAX
+    slow = [lim, np.nextafter(lim, np.inf), 1e15, 123456789012345.67, 1e22,
+            1e300, 1.7976931348623157e308, np.inf, -np.inf, np.nan]
+    assert fixed2_mismatches(_with_neighbours([lim])) == []
+    for v in slow:
+        assert fixed2_mismatches([v]) == []
+        assert fixed2_mismatches([0.5, -v, 12.345, v]) == []
+
+
+def test_fixed2_empty():
+    assert fixed2_slots(np.array([])).shape[0] == 0
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(st.floats(), min_size=1, max_size=200))
+def test_fixed2_hypothesis_floats(values):
+    assert fixed2_mismatches(values) == []
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), min_size=1,
+                max_size=200))
+def test_fixed2_hypothesis_bit_patterns(bits):
+    values = np.array(bits, dtype=np.int64).view(np.float64)
+    assert fixed2_mismatches(values) == []
+
+
+def test_cli_import_loads_no_formatter():
+    # the CSV and SVG writers import it when they run, so that commands
+    # that write neither skip building its tables
+    proc = run_python("import starphase.cli, sys; "
+                      "print('starphase._floatcsv' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

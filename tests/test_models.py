@@ -13,7 +13,7 @@ from starphase import models as models_mod
 from starphase import rootfind
 from starphase.models import VERIFY_TOL
 from conftest import (SIGMA, count_root_solves, drawn_models, drawn_points,
-                      random_domain_points)
+                      random_domain_points, run_python)
 from reference_models import (SINGULARITY_GUARD, oracle_verification,
                               reference_r_at_z)
 
@@ -92,6 +92,35 @@ class TestModelSpec:
 
     def test_family_from_string(self):
         assert sp.ModelSpec("stiff").family is sp.Family.STIFF_RELATIVISTIC
+
+    @pytest.mark.parametrize("family,key,value", [
+        ("kappa", "kappa", np.float64(0.25)),
+        ("scaled", "scale", np.float32(2.5)),
+        ("scaled", "scale", np.float64(1e200)), ("scaled", "scale", 3)])
+    def test_parameters_are_stored_as_python_floats(self, family, key, value):
+        spec = sp.ModelSpec(family, **{key: value})
+        assert type(getattr(spec, key)) is float
+        assert getattr(spec, key) == float(value)
+
+    @pytest.mark.parametrize("family,key", [("kappa", "kappa"),
+                                            ("scaled", "scale")])
+    @pytest.mark.parametrize("value", ["0.5", 0.5j, [0.5]])
+    def test_parameter_that_is_no_real_number_is_refused(self, family, key,
+                                                         value):
+        with pytest.raises(TypeError):
+            sp.ModelSpec(family, **{key: value})
+
+    def test_numpy_scale_runs_on_python_floats(self):
+        # a numpy scale made every constant of the member a numpy scalar,
+        # whose overflow inside brentq warned 14 times where Python floats
+        # are silent
+        proc = run_python(
+            "import numpy as np, starphase as sp; "
+            "m = sp.model('scaled', scale=np.float64(1e200)); "
+            "print(sp.bound_X(m).X_numeric * 1e200)", "-W", "error")
+        assert proc.returncode == 0, proc.stderr
+        assert float(proc.stdout) == pytest.approx(
+            sp.bound_X(sp.model("stiff")).X_numeric, rel=1e-15)
 
     def test_presets_are_relativistic_members(self):
         assert sp.ModelSpec("nonrel").ks is None

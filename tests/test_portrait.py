@@ -542,7 +542,8 @@ def reference_portrait_svg(m, x_range, y_range, nx, ny, path, levels=8,
             if norm == 0.0:
                 continue
             x, y = grid.xs[i], grid.ys[j]
-            tip = (x + arrow * u / norm, y + arrow * w / norm)
+            # the arrow scales the unit vector, as portrait_svg does
+            tip = (x + arrow * (u / norm), y + arrow * (w / norm))
             ax, ay = to_px(x, y)
             bx, by = to_px(*tip)
             parts.append(f'<line x1="{ax:.2f}" y1="{ay:.2f}" x2="{bx:.2f}" '
@@ -589,6 +590,19 @@ class TestSvgBytes:
         reference_portrait_svg(m, xr, yr, grid_n, grid_n, ref)
         assert new.read_bytes() == ref.read_bytes()
 
+
+    @pytest.mark.parametrize("name", ["nonrel", "stiff"])
+    def test_wide_canvas_takes_the_per_value_path(self, models, name,
+                                                  tmp_path):
+        # x pixels up to 1e15 lie past the bulk %.2f kernel's fast path
+        # and are formatted one by one, among fast y pixels
+        m = models[name]
+        xr, yr = default_ranges(m)
+        new, ref = tmp_path / "new.svg", tmp_path / "ref.svg"
+        portrait_svg(m, xr, yr, 30, 30, new, width=10 ** 15)
+        reference_portrait_svg(m, xr, yr, 30, 30, ref, width=10 ** 15)
+        assert "00000000000" in new.read_text()
+        assert new.read_bytes() == ref.read_bytes()
 
     @pytest.mark.parametrize("nx,ny", [(1, 1), (1, 30), (30, 1)])
     def test_single_row_or_column(self, models, nx, ny, tmp_path):

@@ -3,9 +3,6 @@ NaN checks of the bracket walk, and the scipy-free runtime import."""
 
 import contextlib
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -15,6 +12,7 @@ from scipy.optimize import brentq as scipy_brentq
 
 import starphase as sp
 from starphase import rootfind
+from conftest import run_python
 from reference_models import oracle_verification
 
 
@@ -228,15 +226,6 @@ class TestExpandBracketNaN:
     def test_nan_at_the_left_end(self):
         with pytest.raises(ValueError, match="x=0.5"):
             rootfind.expand_bracket(lambda x: math.nan, 0.5, 1.0)
-
-
-def run_python(code):
-    src = os.path.dirname(os.path.dirname(sp.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=60)
 
 
 class TestNoRuntimeScipy:
