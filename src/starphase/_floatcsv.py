@@ -19,14 +19,26 @@ values (+-0, nan, +-inf, subnormals), and those with a decision within
   10^-s: the shortest are those of the largest j.
 * The interval's integers are A + 1 .. B (``ceil``, ``floor`` of its
   ends' offsets from P); j is the largest with B mod 10^j < B - A.  For
-  j >= 2 one multiple lies inside; for j <= 1 the nearest to X is taken,
-  and a tie (``repr`` breaks it to even) goes to ``repr``.  The offsets
-  and midpoint distances are sums of terms below 32, off by under 1e-14,
-  so a margin above ``_TOL`` = 1e-12 makes a decision exact and the
-  ends' inclusion moot.
+  j <= 1 the nearest multiple to X is taken, and a tie (``repr`` breaks
+  it to even) goes to ``repr``.  For j >= 2 the interval, under 23 wide,
+  holds one multiple of 100, M = 100 c with c = B // 100, and every
+  multiple of 10^j in it is M: j is 2 plus the trailing zeros of c.  As
+  c < 2^53, the float c / 10^k (k <= 15) is an integer iff 10^k divides
+  c: otherwise c / 10^k lies at least 10^-k from every integer, and half
+  its ulp is less.  The offsets and midpoint distances are sums of terms
+  below 32, off by under 1e-14, so a margin above ``_TOL`` = 1e-12
+  makes a decision exact and the ends' inclusion moot.
 
 The multiple M has nd = digits(M) - j leading digits, those of ``repr``,
 and decpt = digits(M) - s.
+
+Each step is exact arithmetic, without a select or a remainder pass: a
+call whose values all take the fast path uses |x| as it is (the select
+would return it unchanged); h = ``ldexp``(hi, E - 54), hi = fl(10^s),
+is the normal double hi 2^(E-54); h (1 - 0.5 [f = 1/2]) multiplies h by
+1 or 1/2; the j <= 1 step is 1 + 9 [ten] and its remainder (P - P // 10
+* 10) [ten], integers; and for q >= 0, q - q // 10^4 * 10^4 is q mod
+10^4.
 
 ``fixed2_slots`` writes ``'%.2f' % x``, the integer N nearest 100 |x|
 (ties to even) with its point moved two places.  For |x| < ``_F2_MAX``
@@ -64,8 +76,6 @@ _HI = np.array([float(10 ** s) for s in range(47)])
 _LO = np.array([float(10 ** s - int(h)) for s, h in enumerate(_HI)])
 _HI_H, _HI_L = _split(_HI)
 _P10 = 10 ** np.arange(19, dtype=np.int64)
-#: 2^(E-54), half the spacing of the doubles f 2^E, at E + 100
-_POW2 = 2.0 ** (np.arange(-100, 60) - 54.0)
 _PLACES = np.array([1000, 100, 10, 1], np.int32)
 _DIGITS = (np.arange(10000, dtype=np.int32)[:, None] // _PLACES % 10
            + 48).astype(np.uint8)
@@ -117,9 +127,9 @@ def _interval(a):
     r = ((ah * bh - p) + ah * bl + al * bh) + al * bl + a * _LO[s]
     P = p.astype(np.int64)
     f, E = np.frexp(a)
-    h = hi * _POW2[E + 100]
+    h = np.ldexp(hi, E - 54)
     up = r + h
-    down = r - np.where(f == 0.5, 0.5 * h, h)
+    down = r - h * (1.0 - 0.5 * (f == 0.5))
     unsure = ((np.abs(up - np.rint(up)) < _TOL)
               | (np.abs(down - np.rint(down)) < _TOL))
     return (s, P, r, P + np.ceil(down).astype(np.int64) - 1,
@@ -132,8 +142,8 @@ def _nearest(P, r, A, B):
     # j <= 1: the nearest multiple, moved into the interval if outside it
     width = B - A
     ten = B - B // 10 * 10 < width
-    step = np.where(ten, 10, 1)
-    rem = np.where(ten, P - P // 10 * 10, 0)
+    step = 1 + 9 * ten
+    rem = (P - P // 10 * 10) * ten
     d = (rem + r) + 0.5 * step
     q = np.floor(d / step)
     g = d - q * step
@@ -142,11 +152,13 @@ def _nearest(P, r, A, B):
     j = ten.astype(np.intp)
     tie = (g < _TOL) | (step - g < _TOL)
 
-    # j >= 2: the interval, under 23 wide, holds one multiple of 10^j
+    # j >= 2: M is the one multiple of 100 in the interval, and j - 2 the
+    # trailing zeros of c = M / 100 < 2^53, read from floats (docstring)
     idx = np.flatnonzero(B - B // 100 * 100 < width)
-    j[idx] = 1 + np.count_nonzero(
-        B[idx, None] % _P10[2:18] < width[idx, None], axis=1)
-    M[idx] = B[idx] // _P10[j[idx]] * _P10[j[idx]]
+    c = B[idx] // 100
+    M[idx] = c * 100
+    t = c[:, None] / _HI[1:16]
+    j[idx] = 2 + np.count_nonzero(t == np.floor(t), axis=1)
     return M, j, tie
 
 
@@ -155,7 +167,8 @@ def float_slots(v) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64).ravel()
     a = np.abs(v)
     fast = (a >= 1e-28) & (a < 1e16)
-    s, P, r, A, B, unsure = _interval(np.where(fast, a, 1.0))
+    s, P, r, A, B, unsure = _interval(a if fast.all() else
+                                      np.where(fast, a, 1.0))
     M, j, tie = _nearest(P, r, A, B)
     # M has 16 to 18 digits, its 17 leading ones (and zeros) are lead's
     ndig = 16 + (M >= _P10[16]).view(np.int8) + (M >= _P10[17]).view(np.int8)
@@ -165,17 +178,22 @@ def float_slots(v) -> np.ndarray:
     # digits at bytes 7 .. 23 of rows of NULs, one more NUL for the shift
     top = (lead // 10 ** 8).astype(np.int32)
     low = (lead - top * np.int64(10 ** 8)).astype(np.int32)
-    words = np.zeros(7 * v.size + 1, "<u4")
+    t4, l4 = top // 10000, low // 10000
+    t8 = t4 // 10000
+    n = v.size
+    words = np.zeros(7 * n + 1, "<u4")
     row = words[:-1].reshape(-1, 7)
-    row[:, 1] = (top // 10 ** 8 + 48).astype("<u4") << 24
-    for i, part in enumerate((top // 10000 % 10000, top % 10000,
-                              low // 10000, low % 10000)):
-        row[:, 2 + i] = _QUADS[part]
+    np.left_shift(t8 + 48, 24, out=row[:, 1], casting="unsafe")
+    for col, q in enumerate((t4 - t8 * 10000, top - t4 * 10000, l4,
+                             low - l4 * 10000), 2):
+        np.take(_QUADS, q, out=row[:, col], mode="clip")
     digits = words.view(np.uint8)
-    n = SLOT * v.size
-    out = np.take(_KEEP_LEFT, key, axis=0) & digits[1:n + 1].reshape(-1, SLOT)
-    out |= np.take(_KEEP_RIGHT, key, axis=0) & digits[:n].reshape(-1, SLOT)
-    out |= np.take(_CONST, key, axis=0)
+    out = np.take(_KEEP_LEFT, key, axis=0, mode="clip")
+    out &= digits[1:SLOT * n + 1].reshape(-1, SLOT)
+    right = np.take(_KEEP_RIGHT, key, axis=0, mode="clip")
+    right &= digits[:SLOT * n].reshape(-1, SLOT)
+    out |= right
+    out |= np.take(_CONST, key, axis=0, mode="clip")
     out[:, 0] = np.signbit(v) * np.uint8(45)
     slow = np.flatnonzero(~fast | unsure | tie)
     if slow.size:
@@ -191,7 +209,7 @@ def fixed2_slots(v) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64).ravel()
     a = np.abs(v)
     fast = a < _F2_MAX
-    a = np.where(fast, a, 0.0)
+    a = a if fast.all() else np.where(fast, a, 0.0)
     p = a * 100.0
     ah, al = _split(a)
     e = (ah * 100.0 - p) + al * 100.0  # 100 = hi, lo = 0 in Dekker's product
@@ -199,17 +217,25 @@ def fixed2_slots(v) -> np.ndarray:
     d = p - N
     N = (N.astype(np.int64) + ((d == 0.5) & (e > 0.0)).view(np.int8)
          - ((d == -0.5) & (e < 0.0)).view(np.int8))
-    # N < 1e16 in words: the sign, the groups of 4 digits that some N
-    # needs (leading zeros as NULs), "dd.d" and the last digit
+    # N < 1e15 in words: the sign, the groups of 4 digits that some N
+    # needs (leading zeros as NULs), "dd.d" and the last digit; with q =
+    # N // 10^k, q - q // 10^4 * 10^4 is the group from digit k up
     top = N.max(initial=0)
-    groups = [N // 10 ** k % 10000 + 10000 * (N >= 10 ** (k + 4))
-              for k in (12, 8, 4) if top >= 10 ** k]
+    tens, q = N // 10, N // 10000
+    tail = _TAILS[tens - q * 1000 + 1000 * (q > 0)]
+    groups = []
+    for k in (4, 8, 12):
+        if top < 10 ** k:
+            break
+        above = q // 10000
+        groups.append(_GROUPS[q - above * 10000 + 10000 * (above > 0)])
+        q = above
     words = np.empty((v.size, len(groups) + 3), "<u4")
     words[:, 0] = np.signbit(v) * np.uint32(45 << 24)
-    for i, g in enumerate(groups, 1):
-        words[:, i] = _GROUPS[g]
-    words[:, -2] = _TAILS[N // 10 % 1000 + 1000 * (N >= 10000)]
-    words[:, -1] = N % 10 + 48
+    for i, g in enumerate(reversed(groups), 1):
+        words[:, i] = g
+    words[:, -2] = tail
+    words[:, -1] = N - tens * 10 + 48
     out = words.view(np.uint8)[:, 3:-3]
     slow = np.flatnonzero(~fast)
     if slow.size:
@@ -222,12 +248,20 @@ def fixed2_slots(v) -> np.ndarray:
     return out
 
 
-def text_rows(n: int, *pieces) -> np.ndarray:
-    """(n, w) uint8: the pieces side by side, each either bytes (the same
-    in every row) or NUL-padded slots (one row each)."""
-    return np.concatenate(
-        [np.broadcast_to(np.frombuffer(p, np.uint8), (n, len(p)))
-         if isinstance(p, bytes) else p for p in pieces], axis=1)
+def text_rows(n: int, *pieces) -> bytearray:
+    """The text of n rows, each the pieces side by side, with the NULs
+    dropped; a piece is either bytes (the same in every row) or NUL-padded
+    slots (one row each).  The rows are laid out in a bytearray, whose
+    ``translate`` drops the NULs in one C pass."""
+    # a bytes piece as an (n, len) view with row stride 0: the broadcast
+    # that np.broadcast_to makes, at a fraction of its cost per call
+    pieces = [np.ndarray((n, len(p)), np.uint8, p, strides=(0, 1))
+              if isinstance(p, bytes) else p for p in pieces]
+    width = sum(p.shape[1] for p in pieces)
+    buf = bytearray(n * width)
+    np.concatenate(pieces, axis=1,
+                   out=np.frombuffer(buf, np.uint8).reshape(n, width))
+    return buf.translate(None, b"\0")
 
 
 def write_csv(path, header, nrows: int, cells) -> None:
@@ -239,6 +273,4 @@ def write_csv(path, header, nrows: int, cells) -> None:
             fields = cells(lo, min(lo + BLOCK, nrows))
             parts = [part for field in fields for part in (field, b",")]
             parts[-1] = b"\r\n"
-            lines = text_rows(len(fields[0]), *parts)
-            del fields, parts  # copied into lines
-            fh.write(lines[lines != 0])
+            fh.write(text_rows(len(fields[0]), *parts))

@@ -99,17 +99,25 @@ def write_grid_csv(path, grid: LevelSetGrid, header, columns) -> None:
     fields of an invalid node are empty."""
     # imported here, so that commands that write no CSV skip its set-up
     from ._floatcsv import SLOT, float_slots, write_csv
-    xs, ys = np.split(float_slots(np.concatenate([grid.xs, grid.ys])),
-                      [len(grid.xs)])
+    nx, ny = len(grid.xs), len(grid.ys)
     valid = grid.valid.ravel()
     flat = [np.ravel(c) for c in columns]
+    axes = None
 
     def cells(lo, hi):
+        nonlocal axes
         node, ok = np.arange(lo, hi), valid[lo:hi]
-        # an invalid node's fields are formatted from 1.0, then blanked
-        fields = float_slots(np.where(ok, [c[lo:hi] for c in flat], 1.0))
+        # an invalid node's fields are formatted from 1.0, then blanked;
+        # xs and ys are formatted in the first block's call
+        values = np.where(ok, [c[lo:hi] for c in flat], 1.0).ravel()
+        if axes is None:
+            fields = float_slots(np.concatenate([grid.xs, grid.ys, values]))
+            axes, fields = np.split(fields[:nx + ny], [nx]), fields[nx + ny:]
+        else:
+            fields = float_slots(values)
         fields.reshape(len(flat), -1, SLOT)[:, ~ok] = 0
-        return [xs[node // len(ys)], ys[node % len(ys)],
+        i = node // ny
+        return [axes[0][i], axes[1][node - i * ny],
                 *np.split(fields, len(flat)),
                 ok.view(np.uint8)[:, None] + np.uint8(48)]
 
@@ -126,8 +134,9 @@ def level_set_grid(m: SystemModel, x_range, y_range,
     """Sample V on the closed box ``x_range`` x ``y_range``.
 
     Cells with x outside [0, x_end) or y <= 0 are flagged invalid rather
-    than evaluated.  Raises ValueError for a non-finite or empty box and
-    for more than MAX_GRID_NODES nodes, before allocating anything, and
+    than evaluated.  Raises ValueError for a non-finite or empty box, for
+    a zero-width side with more than one node and for more than
+    MAX_GRID_NODES nodes, before allocating anything, and
     DomainError where V overflows (``nonrel`` from x of about 1e154).
     """
     if not all(math.isfinite(v) for v in (*x_range, *y_range)):
@@ -135,6 +144,10 @@ def level_set_grid(m: SystemModel, x_range, y_range,
                          f"{tuple(x_range)} and y range {tuple(y_range)}")
     if nx < 1 or ny < 1 or x_range[1] < x_range[0] or y_range[1] < y_range[0]:
         raise ValueError("empty grid range")
+    for side, (lo, hi), n in (("x", x_range, nx), ("y", y_range, ny)):
+        if lo == hi and n > 1:
+            raise ValueError(f"{side} range {lo!r}:{hi!r} has zero width "
+                             f"but {n} nodes; a zero-width side takes one")
     if int(nx) * int(ny) > MAX_GRID_NODES:
         raise ValueError(f"grid of {nx} x {ny} nodes is above "
                          f"MAX_GRID_NODES = {MAX_GRID_NODES}")

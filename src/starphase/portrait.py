@@ -202,22 +202,18 @@ def marching_squares(grid: LevelSetGrid, level) -> list:
     return polylines
 
 
-def _text(rows) -> str:
-    """The rows, each after the one before, with their NULs dropped."""
-    return rows[rows != 0].tobytes().decode("ascii")
-
-
 def portrait_svg(m: SystemModel, x_range, y_range, nx: int, ny: int,
                  path, levels: int = 8, width: int = 640,
                  height: int = 480) -> None:
     """Static SVG: normalised field arrows plus V level polylines."""
-    grid, U, W = field_grid(m, x_range, y_range, nx, ny)
     x0, x1 = x_range
     y0, y1 = y_range
-    if not (x1 > x0 and y1 > y0):
+    # before sampling; a NaN bound passes on to level_set_grid's check
+    if x1 <= x0 or y1 <= y0:
         raise ValueError(f"SVG plot box needs x1 > x0 and y1 > y0, got x "
                          f"range {tuple(x_range)} and y range "
                          f"{tuple(y_range)}")
+    grid, U, W = field_grid(m, x_range, y_range, nx, ny)
     pad = 10.0
 
     def to_px(x, y):
@@ -252,8 +248,8 @@ def portrait_svg(m: SystemModel, x_range, y_range, nx: int, ny: int,
             slots = fixed2_slots(xy).reshape(len(xy) // 2, 2, -1)
             sep = np.full((len(slots), 1), ord(" "), np.uint8)
             sep[np.cumsum([len(line) for line in lines]) - 1] = ord("\n")
-            text = _text(text_rows(len(slots), slots[:, 0], b",",
-                                   slots[:, 1], sep))
+            text = text_rows(len(slots), slots[:, 0], b",", slots[:, 1],
+                             sep).decode("ascii")
             parts.extend(f'<polyline points="{pts}" fill="none" '
                          f'stroke="#7a5fc0" stroke-width="1"/>'
                          for pts in text.split("\n")[:-1])
@@ -274,10 +270,11 @@ def portrait_svg(m: SystemModel, x_range, y_range, nx: int, ny: int,
         bx, by = to_px(x + arrow * (u / norm), y + arrow * (w / norm))
         sa, sb, sc, sd = fixed2_slots(np.stack([ax, ay, bx, by])).reshape(
             4, x.size, -1)
-        text = _text(text_rows(
+        text = text_rows(
             x.size, b'<line x1="', sa, b'" y1="', sb, b'" x2="', sc,
             b'" y2="', sd, b'" stroke="#444" stroke-width="0.8"/>\n'
-            b'<circle cx="', sc, b'" cy="', sd, b'" r="1.2" fill="#444"/>\n'))
+            b'<circle cx="', sc, b'" cy="', sd, b'" r="1.2" fill="#444"/>\n'
+        ).decode("ascii")
         parts.append(text[:-1])
 
     zx, zy = to_px(m.z, m.z)

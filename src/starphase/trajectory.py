@@ -103,6 +103,11 @@ class IntegratorConfig:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
+        try:  # the arrival ball compares squares with converge_radius ** 2
+            self.converge_radius ** 2
+        except OverflowError:
+            raise ValueError(f"converge_radius must have a finite square, "
+                             f"got {self.converge_radius!r}") from None
 
 
 @dataclass(frozen=True)
@@ -203,8 +208,11 @@ def shoot_heteroclinic(m: SystemModel,
         dd = d * d
         if dd > r2_up and dd > (y if y > z else z) * (c0 + c1 * (y + z)):
             return False
-        if (x - z) ** 2 + d ** 2 <= r2:
-            return True
+        try:
+            if (x - z) ** 2 + d ** 2 <= r2:
+                return True
+        except OverflowError:  # a square past the doubles: not in the ball
+            pass
         q = y / z
         if not q > 0.0:  # y <= 0, or y/z underflows: V is far above v
             return False
@@ -222,9 +230,12 @@ def shoot_heteroclinic(m: SystemModel,
     # refine the x peak inside steps where x' changes sign (the sampled
     # maximum alone carries an O(h^2) bias)
     dx = sol.f[:, 0]
-    for i in np.flatnonzero((dx[:-1] > 0.0) & (dx[1:] <= 0.0)):
-        max_x = max(max_x, integrate.hermite_extremum_max(
-            sol.t[i], sol.t[i + 1], xs[i], xs[i + 1], dx[i], dx[i + 1]))
+    # the cubic's coefficients overflow on members scaled below about
+    # 1e-155: its discriminant is nan, and the sampled maximum stands
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in np.flatnonzero((dx[:-1] > 0.0) & (dx[1:] <= 0.0)):
+            max_x = max(max_x, integrate.hermite_extremum_max(
+                sol.t[i], sol.t[i + 1], xs[i], xs[i + 1], dx[i], dx[i + 1]))
 
     if sol.status == integrate.STOPPED:
         fin = sol.y[-1]

@@ -450,6 +450,16 @@ class TestTrajectory:
         assert json_path.read_text() == json.dumps(
             full, indent=2, sort_keys=True) + "\n"
 
+    @pytest.mark.parametrize("scale", ["1e-160", "1e-300"])
+    def test_tiny_scale_ends_with_a_status(self, capsys, tmp_path, scale):
+        # the arrival ball's squares overflow there; an overflow is no
+        # arrival, not an uncaught OverflowError
+        code, _, err = run(capsys, "trajectory", "--model", "scaled",
+                           "--scale", scale, "--out",
+                           str(tmp_path / "t.csv"))
+        assert code in (3, 4)
+        assert "shoot did not converge: status=" in err
+
     def test_nonconvergence_exit_4(self, capsys):
         code, _, err = run(capsys, "trajectory", "--model", "stiff",
                            "--max-time", "1.0")
@@ -478,6 +488,33 @@ class TestPortrait:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert "not finite" in lines[0]
         assert list(tmp_path.iterdir()) == []
+
+    def test_zero_width_range_exit_3(self, capsys, tmp_path):
+        # every row of the CSV repeated the one x
+        path = tmp_path / "p.csv"
+        code, out, err = run(capsys, "portrait", "--model", "stiff",
+                             "--xrange", "0.2:0.2", "--grid", "6,6",
+                             "--out", str(path))
+        assert code == 3 and out == ""
+        assert "x range 0.2:0.2 has zero width" in err
+        assert not path.exists()
+
+    def test_svg_box_error_comes_before_sampling(self, capsys, tmp_path):
+        # it read "V overflows on this plot box"
+        path = tmp_path / "p.svg"
+        code, _, err = run(capsys, "portrait", "--model", "nonrel",
+                           "--xrange", "1e300:1e300", "--out", str(path))
+        assert code == 3
+        assert "x1 > x0 and y1 > y0" in err and "overflows" not in err
+
+    def test_negative_range_in_the_equals_form(self, capsys, tmp_path):
+        # "--xrange -0.5:-0.1" reads -0.5:-0.1 as an option (exit 2)
+        path = tmp_path / "p.csv"
+        code, _, err = run(capsys, "portrait", "--model", "stiff",
+                           "--xrange=-0.5:-0.1", "--grid", "3,3",
+                           "--out", str(path))
+        assert code == 0, err
+        assert path.read_text().splitlines()[1].startswith("-0.5,")
 
     def test_subnormal_y_gives_finite_v(self, capsys, tmp_path):
         # y/z underflowed to 0 in V, which read inf at y = 5e-324

@@ -112,13 +112,86 @@ def test_seeded_draws(name):
     assert bad == [], bad[:5]
 
 
-# -- '%.2f' % v
-
 def _with_neighbours(values):
     values = np.asarray(values, dtype=np.float64)
     return np.concatenate([values, np.nextafter(values, -np.inf),
                            np.nextafter(values, np.inf)])
 
+
+# -- the steps of the repr kernel, each against repr
+
+def test_powers_of_two():
+    # f = 1/2: the rounding interval reaches half as far below as above
+    p = 2.0 ** np.arange(-93, 54)
+    assert mismatches(_with_neighbours(np.concatenate([p, -p, 3 * p]))) == []
+
+
+def _decimals(rng, nd, n=2000):
+    """n floats read from decimals of nd significant digits, the last
+    one nonzero, spread over the fast path's exponents."""
+    lead = rng.integers(10 ** (nd - 1), 10 ** nd, n)
+    lead += lead % 10 == 0
+    exps = rng.integers(-28, 16, n) - nd + 1
+    return np.array([float(f"{d}e{e}") for d, e in zip(lead.tolist(),
+                                                       exps.tolist())])
+
+
+@pytest.mark.parametrize("nd", range(1, 18))
+def test_decimals_of_each_length(nd):
+    # repr keeps nd = 17 - j digits: j = 0, 1 and every j >= 2
+    values = _decimals(np.random.default_rng(nd), nd)
+    assert mismatches(_with_neighbours(values)) == []
+
+
+def test_j_takes_each_branch():
+    # the multiple M has j trailing zeros, 17 - j digits for repr: the
+    # j <= 1 branch and the j >= 2 branch both run on these
+    rng = np.random.default_rng(3)
+    values = np.abs(np.concatenate([_decimals(rng, nd, 200)
+                                    for nd in range(1, 18)]))
+    s, P, r, A, B, unsure = _floatcsv._interval(values)
+    M, j, tie = _floatcsv._nearest(P, r, A, B)
+    ok = ~(unsure | tie)
+    assert set(j[ok].tolist()) >= set(range(17))
+    digits = [len(repr(v).split("e")[0].replace(".", "").strip("0"))
+              for v in values[ok].tolist()]
+    ndig = [len(str(m)) for m in M[ok].tolist()]
+    assert [n - k for n, k in zip(ndig, j[ok].tolist())] == digits
+
+
+def test_leads_with_zero_groups():
+    # 17-digit leads d.dddd dddd dddd dddd with every pattern of all-zero
+    # groups, and 1 + k 2^-52 scaled by powers of two
+    rng = np.random.default_rng(5)
+    text = []
+    for pattern in range(16):
+        for _ in range(100):
+            groups = ["0000" if pattern >> g & 1 else
+                      "%04d" % rng.integers(1, 10000) for g in range(4)]
+            text.append(f"{rng.integers(1, 10)}.{''.join(groups)}"
+                        f"e{rng.integers(-28, 16)}")
+    ulps = 1.0 + np.arange(1, 200) * 2.0 ** -52
+    values = np.concatenate([np.array(text, dtype=float),
+                             np.outer(2.0 ** np.arange(-90, 50, 7),
+                                      ulps).ravel()])
+    assert mismatches(values) == []
+
+
+def test_all_fast_and_mixed_calls(monkeypatch):
+    # a call with no slow value skips the select before _interval; in a
+    # call that mixes them, exactly the slow values go to repr
+    calls = []
+    monkeypatch.setattr(_floatcsv, "repr",
+                        lambda x: calls.append(x) or repr(x), raising=False)
+    fast = np.linspace(0.1, 5.0, 1001)
+    assert mismatches(fast) == [] and calls == []
+    mixed = fast.copy()
+    mixed[::7] = np.resize(EDGES[:7] + [1e300, -1e-300], mixed[::7].size)
+    assert mismatches(mixed) == []
+    assert np.array_equal(calls, mixed[::7], equal_nan=True)
+
+
+# -- '%.2f' % v
 
 def test_fixed2_hundredths_and_halves_of_them():
     # k/200 holds every tie 100 v = n + 1/2 that a double can hold; the
@@ -151,6 +224,15 @@ def test_fixed2_every_digit_group():
             9999999999.99, 99999999999.995, 9999999999999.0]
     for v in ends:
         assert fixed2_mismatches(_with_neighbours([v, -v, 1.0])) == []
+
+
+def test_fixed2_zero_groups():
+    # N with groups of four zero digits between nonzero ones
+    values = [10000.0, 100000.01, 100000000.01, 1000000000000.05,
+              1234000000.07, 100000005678.0, 9000000000000.0, 10000000.0,
+              100.0, 0.01, 1000.0]
+    assert fixed2_mismatches(_with_neighbours(values + [-v for v in values])
+                             ) == []
 
 
 def test_fixed2_past_the_fast_path():

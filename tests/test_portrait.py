@@ -658,6 +658,39 @@ class TestPlotBox:
             portrait_svg(models["stiff"], x_range, y_range, 6, 6, path)
         assert not path.exists()
 
+    @pytest.mark.parametrize("side", ["x", "y"])
+    @pytest.mark.parametrize("export", [portrait_csv, portrait_svg])
+    def test_zero_width_side_with_nodes_rejected(self, models, side,
+                                                 export, tmp_path):
+        # every node of such a side would repeat the one coordinate
+        xr, yr = (0.2, 0.9), (0.1, 1.0)
+        if side == "x":
+            xr = (0.2, 0.2)
+        else:
+            yr = (0.5, 0.5)
+        with pytest.raises(ValueError, match=f"{side} range .* zero width"):
+            sp.level_set_grid(models["stiff"], xr, yr, 6, 6)
+        path = tmp_path / "p.out"
+        with pytest.raises(ValueError):
+            export(models["stiff"], xr, yr, 6, 6, path)
+        assert not path.exists()
+
+    def test_zero_width_side_with_one_node_is_valid(self, models, tmp_path):
+        m = models["stiff"]
+        new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+        portrait_csv(m, (0.2, 0.2), (0.1, 1.0), 1, 6, new)
+        reference_portrait_csv(m, (0.2, 0.2), (0.1, 1.0), 1, 6, ref)
+        assert new.read_bytes() == ref.read_bytes()
+        assert len(new.read_text().splitlines()) == 1 + 6
+
+    def test_svg_checks_the_box_before_sampling(self, models, tmp_path):
+        # V overflows at x = 1e300 on nonrel; the box error comes first
+        path = tmp_path / "p.svg"
+        with pytest.raises(ValueError, match="x1 > x0 and y1 > y0"):
+            portrait_svg(models["nonrel"], (1e300, 1e300), (0.04, 8.0), 6, 6,
+                         path)
+        assert not path.exists()
+
 
 # -- python -m starphase
 

@@ -547,6 +547,18 @@ class TestLaunch:
         assert traj.max_x < sp.bound_X(m).X_numeric
 
 
+class TestTinyScale:
+    def test_shoot_returns_a_status(self):
+        # (x - z) ** 2 of the arrival ball raised OverflowError
+        traj = sp.shoot_heteroclinic(sp.model("scaled", scale=1e-160))
+        assert not traj.converged and traj.status == "max_time"
+
+    def test_converge_radius_with_no_finite_square_rejected(self):
+        with pytest.raises(ValueError, match="converge_radius"):
+            IntegratorConfig(converge_radius=1e200)
+        assert IntegratorConfig(converge_radius=1e154).converge_radius == 1e154
+
+
 class TestWorkCounters:
     def test_counters_recorded(self, trajectories):
         for name, traj in trajectories.items():
