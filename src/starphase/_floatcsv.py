@@ -75,7 +75,6 @@ def _split(x):
 _HI = np.array([float(10 ** s) for s in range(47)])
 _LO = np.array([float(10 ** s - int(h)) for s, h in enumerate(_HI)])
 _HI_H, _HI_L = _split(_HI)
-_P10 = 10 ** np.arange(19, dtype=np.int64)
 _PLACES = np.array([1000, 100, 10, 1], np.int32)
 _DIGITS = (np.arange(10000, dtype=np.int32)[:, None] // _PLACES % 10
            + 48).astype(np.uint8)
@@ -171,7 +170,7 @@ def float_slots(v) -> np.ndarray:
                                       np.where(fast, a, 1.0))
     M, j, tie = _nearest(P, r, A, B)
     # M has 16 to 18 digits, its 17 leading ones (and zeros) are lead's
-    ndig = 16 + (M >= _P10[16]).view(np.int8) + (M >= _P10[17]).view(np.int8)
+    ndig = 16 + (M >= 10 ** 16).view(np.int8) + (M >= 10 ** 17).view(np.int8)
     lead = np.where(ndig == 16, M * 10, np.where(ndig == 18, M // 10, M))
     key = (ndig - j - 1) * (_DP_MAX - _DP_MIN + 1) + ndig - s - _DP_MIN
 
