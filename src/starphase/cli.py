@@ -2,7 +2,8 @@
 
 Subcommands: analyze, trajectory, bound, portrait, masstable.
 Exit codes: 0 ok, 2 usage error (argparse), 3 hypothesis or domain
-failure, 4 numerical non-convergence.
+failure or an output path that cannot be written, 4 numerical
+non-convergence.
 """
 
 from __future__ import annotations
@@ -251,7 +252,7 @@ def main(argv=None) -> int:
     args = _shared_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (DomainError, HypothesisError, ValueError) as exc:
+    except (DomainError, HypothesisError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS
     except ConvergenceError as exc:

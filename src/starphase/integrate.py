@@ -127,8 +127,6 @@ def integrate_adaptive(field, t0: float, y0, max_time: float, *,
     # the bookkeeping below spells min and max as comparisons, in the
     # builtins' argument order: min(a, b) is b only if b < a, max(a, b)
     # is b only if b > a, so a NaN h or err takes the same branch
-    if max_time - t < h:
-        h = max_time - t
     ax, ay = abs(x), abs(y)
     err_prev = 1.0
     status = FINISHED
@@ -140,11 +138,12 @@ def integrate_adaptive(field, t0: float, y0, max_time: float, *,
         if steps >= max_steps:
             status = MAX_STEPS
             break
-        if max_time - t < h:
-            h = max_time - t
+        # the floor judges h before its cut to max_time; a NaN h passes
         if h < h_min_floor:
             status = DOMAIN_EXIT
             break
+        if max_time - t < h:
+            h = max_time - t
 
         try:
             nfev += 1

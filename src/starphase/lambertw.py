@@ -42,9 +42,6 @@ def _halley(arg: float, w: float) -> float:
         if abs(f) <= 8e-16 * abs(arg):
             return w
         wp1 = w + 1.0
-        if wp1 == 0.0:
-            w += 1e-12
-            continue
         denom = ew * wp1 - (w + 2.0) * f / (2.0 * wp1)
         if denom == 0.0:
             break

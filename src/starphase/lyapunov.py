@@ -33,7 +33,7 @@ def lyapunov_value(m: SystemModel, x, y):
     y = np.asarray(y, dtype=float)
     h, q, tiny = m.H(x), np.asarray(y / m.z), np.finfo(float).tiny
     # log y - log z where y/z would lose digits below the normals
-    log_q = np.log(q, out=q) if q.min() >= tiny else np.where(
+    log_q = np.log(q, out=q) if q.min(initial=tiny) >= tiny else np.where(
         q < tiny, np.log(y) - math.log(m.z), np.log(np.maximum(q, tiny)))
     val = h + y - m.z - m.z * log_q
     return val if val.ndim else float(val)

@@ -14,6 +14,7 @@ whenever a(z) > -1 (spiral for negative discriminant, node otherwise).
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,7 +86,13 @@ def jacobian_fd(m: SystemModel, x: float, y: float, h: float = 1e-5) -> np.ndarr
     Validation oracle for the analytic linearisations.  The stencil may
     poke marginally below x = 0 or y = 0 (the coefficient functions are
     analytic there); only the pole side, x + h < x_end, is enforced.
+    Raises DomainError for a non-finite x or y and ValueError for an h
+    outside (0, inf).
     """
+    if not cmath.isfinite(complex(x, y)):
+        raise DomainError(f"(x, y) = ({x!r}, {y!r}) is not finite")
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"h must lie in (0, inf), got {h!r}")
     if x + h >= m.x_end:
         raise DomainError("finite-difference stencil crosses the pole")
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -121,6 +122,14 @@ def trajectories(models):
     """One default-config shoot per family, shared across tests."""
     return {name: sp.shoot_heteroclinic(models[name])
             for name in FAMILY_ARGS}
+
+
+def raised_a_model(base):
+    """``base`` with a raised by 20 x left of w/2, where the tangent-line
+    inequality of ``check_hypotheses`` and the line fact of the trap
+    region fail; a(0) and the root of w's objective are unchanged."""
+    return dataclasses.replace(base, a=lambda x: base.a(x) + np.where(
+        np.asarray(x) < 0.5 * base.w, 20.0 * np.asarray(x), 0.0))
 
 
 def count_root_solves(monkeypatch):

@@ -91,6 +91,13 @@ class TestToPhysical:
         assert prof.r[-1] == 3.0
         assert np.all(np.diff(prof.r) > 0.0)
 
+    def test_samples_are_the_rows_of_the_columns(self, trajectories):
+        prof = to_physical(trajectories["stiff"])
+        rows = list(prof.samples)
+        assert len(rows) == prof.r.size > 1
+        assert rows == list(zip(prof.r, prof.m, prof.rho, prof.p))
+        assert rows[-1][0] == prof.r_ref
+
     def test_si_mode_scales_dimensionful_columns_only(self, models):
         traj = make_traj(models["stiff"], [0.0], [0.5], [0.5])
         nat = to_physical(traj, units="natural")

@@ -17,7 +17,7 @@ from starphase.bounds import (STIFF_LAMBERT_ARG, check_hypotheses,
                               closed_form_X, kappa_sweep, sweep_to_csv)
 from starphase.models import SystemModel
 
-from conftest import count_root_solves, drawn_models
+from conftest import count_root_solves, drawn_models, raised_a_model
 from reference_models import (reference_check_hypotheses,
                               reference_kappa_sweep)
 
@@ -125,7 +125,12 @@ def slope_cases(base):
 
 
 def negative_b_model(base):
-    """``base`` with b = -1 and b' = 0: the b sign check fails."""
+    """``base`` with b = -1 and b' = 0.
+
+    The w objective then has no sign change, so ``find_w``'s sign test
+    raises before the b sign check of ``check_hypotheses`` runs; that
+    check is reached by ``TestHypotheses.test_b_negative_right_of_z``.
+    """
     return SystemModel(
         spec=base.spec, a=base.a, b=lambda x: -np.ones_like(
             np.asarray(x, dtype=float)),
@@ -318,6 +323,17 @@ class TestInvertH:
         m = sp.model("scaled", scale=scale)
         with pytest.raises(sp.DomainError, match=re.escape(
                 f"H overflows near x_max = {m.x_max:g}: ")):
+            sp.invert_H(m, sp.excess_E(m))
+
+    def test_brentq_budget_on_a_found_bracket_is_raised(self, models,
+                                                        monkeypatch):
+        # the level is reachable, so the budget's ConvergenceError is
+        # raised as it is, not read as an unreachable level
+        m, brentq = models["stiff"], rootfind.brentq
+        monkeypatch.setattr(rootfind, "brentq",
+                            lambda *args, **kw: brentq(*args, **kw, maxiter=1))
+        with pytest.raises(sp.ConvergenceError,
+                           match="brentq failed to converge after 1 "):
             sp.invert_H(m, sp.excess_E(m))
 
     def test_brentq_budget_is_not_unreachable(self, models):
@@ -550,6 +566,8 @@ class TestHypotheses:
         check_hypotheses(each_model)
 
     def test_negative_b_detected(self, models):
+        # b = -1 fails the sign test of w, not the b sign check; see
+        # test_b_negative_right_of_z for that branch
         bad = negative_b_model(models["stiff"])
         with pytest.raises(sp.HypothesisError):
             check_hypotheses(bad)
@@ -599,6 +617,67 @@ class TestHypotheses:
             warnings.simplefilter("error")
             check_hypotheses(m)
         assert m.r(0.95) == math.inf
+
+
+class TestSampledFailures:
+    """Each failure branch of the sampled check, on a hand-built stiff
+    model (z = 1/2, w = 1/3) that breaks only that premise; the sign
+    test of w passes on each."""
+
+    def test_a0_not_positive(self, models):
+        bad = hand_built_models(models["stiff"])["a0_zero"]
+        with pytest.raises(sp.HypothesisError,
+                           match=re.escape("a(0) = 0.0 is not positive")):
+            check_hypotheses(bad)
+        assert_matches_reference(bad)
+
+    def test_b_negative_right_of_z(self, models):
+        base = models["stiff"]
+        bad = dataclasses.replace(base, b=lambda x: np.where(
+            np.asarray(x) > base.z, -1.0, 1.0) * base.b(x))
+        # b = -1/(1 - x) is lowest at the sample's end 0.95 x_max
+        with pytest.raises(sp.HypothesisError,
+                           match=re.escape("b < 0 at x = 0.95")) as err:
+            check_hypotheses(bad)
+        assert err.value.point == (0.95,)
+        assert_matches_reference(bad)
+
+    def test_r_sample_outside_the_domain(self, models):
+        bad = dataclasses.replace(models["stiff"], x_max=0.0)
+        with pytest.raises(sp.DomainError,
+                           match=re.escape("x outside [0, 0.0)")):
+            check_hypotheses(bad)
+        assert_matches_reference(bad)
+
+    def test_r_negative(self, models):
+        base = models["stiff"]
+        bad = dataclasses.replace(base, r=lambda x: -base.r(x))
+        with pytest.raises(sp.HypothesisError,
+                           match=re.escape("r < 0 at x = 0.95")) as err:
+            check_hypotheses(bad)
+        assert err.value.point == (0.95,)
+
+    def test_tangent_gap(self, models):
+        # a raised by 20 x left of w/2: a(x) - a(0) - (a0+1) w b(x) =
+        # 20 x - (1 + x)/(1 - x) is positive there, and w keeps its root
+        base = models["stiff"]
+        bad = raised_a_model(base)
+        n = 200
+        xs = np.linspace(base.w / n, base.w, n)
+        gap = bad.a(xs) - bad.a0 - 3.0 * base.w * bad.b(xs)
+        x = xs[int(np.argmax(gap))]
+        assert 0.0 < x < 0.5 * base.w and gap.max() > 0.5
+        with pytest.raises(sp.HypothesisError, match=re.escape(
+                f"(a0+1) w b(x) >= a(x) - a(0) fails at x = {x}")) as err:
+            check_hypotheses(bad, n)
+        assert err.value.point == (x,)
+        assert_matches_reference(bad, n)
+
+    def test_excess_below_the_minimum(self, models):
+        bad = dataclasses.replace(models["stiff"], w=0.1)
+        with pytest.raises(sp.HypothesisError, match=re.escape(
+                f"(a0+1)w = {3.0 * 0.1} < z = 0.5")):
+            sp.excess_E(bad)
 
 
 class TestHypothesesMatchReference:

@@ -1,10 +1,12 @@
 import contextlib
+import errno
 import hashlib
 import io
 import json
 import math
 import os
 import pathlib
+import runpy
 import shlex
 import subprocess
 import sys
@@ -460,6 +462,17 @@ class TestTrajectory:
         assert code in (3, 4)
         assert "shoot did not converge: status=" in err
 
+    def test_max_time_below_the_step_floor_exit_4(self, capsys):
+        # cut to max_time, the first h lay below the step floor 1e-14: the
+        # run ended as domain_exit (exit 3) inside the domain
+        code, out, err = run(capsys, "trajectory", "--model", "stiff",
+                             "--max-time", "1e-300")
+        doc = json.loads(out)
+        assert code == 4
+        assert doc["status"] == "max_time" and doc["steps"] == 1
+        assert err == ("shoot did not converge: status=max_time, last "
+                       f"state={tuple(doc['final_state'])}\n")
+
     def test_nonconvergence_exit_4(self, capsys):
         code, _, err = run(capsys, "trajectory", "--model", "stiff",
                            "--max-time", "1.0")
@@ -577,6 +590,14 @@ class TestPortrait:
                            "--grid", "8,8",
                            "--out", str(tmp_path / "field.txt"))
         assert code == 3
+
+    def test_grid_without_a_comma_exit_3(self, capsys, tmp_path):
+        path = tmp_path / "field.svg"
+        code, out, err = run(capsys, "portrait", "--model", "stiff",
+                             "--grid", "8", "--out", str(path))
+        assert (code, out) == (3, "")
+        assert err == "error: bad grid spec '8'; expected NX,NY\n"
+        assert not path.exists()
 
     def test_nan_range_exit_3(self, capsys, tmp_path):
         path = tmp_path / "field.svg"
@@ -751,6 +772,45 @@ def readme_cli_examples():
     block = section.split("```sh\n", 1)[1].split("```", 1)[0]
     return [shlex.split(line, comments=True)[1:]
             for line in block.splitlines() if line.startswith("starphase ")]
+
+
+class TestUnwritableOutput:
+    """An output path in a missing directory exits 3 with one error line,
+    as a bad portrait suffix does; it was an uncaught FileNotFoundError."""
+
+    @pytest.mark.parametrize("argv", [
+        ("analyze", "--model", "stiff", "--json", "a.json"),
+        ("trajectory", "--model", "stiff", "--out", "t.csv"),
+        ("bound", "--model", "kappa", "--sweep-kappa", "0.1:0.2:3",
+         "--out", "x.csv"),
+        ("portrait", "--model", "stiff", "--grid", "8,8", "--out", "p.svg"),
+    ], ids=lambda argv: argv[0])
+    def test_exit_3(self, capsys, tmp_path, argv):
+        path = str(tmp_path / "nodir" / argv[-1])
+        code, out, err = run(capsys, *argv[:-1], path)
+        missing = FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT),
+                                    path)
+        assert (code, out) == (3, "")
+        assert err == f"error: {missing}\n"
+
+
+class TestModuleEntryPoints:
+    """``python -m starphase`` and ``python -m starphase.cli`` run ``main``
+    on ``sys.argv``; run here in this process."""
+
+    @pytest.mark.parametrize("module, runs", [
+        ("starphase", "starphase.__main__"),
+        ("starphase.cli", "starphase.cli")])
+    def test_same_exit_and_output_as_main(self, capsys, monkeypatch, module,
+                                          runs):
+        want = run(capsys, "bound", "--model", "stiff")
+        monkeypatch.setattr(sys, "argv", [module, "bound", "--model", "stiff"])
+        # runpy warns when the module it runs as __main__ is imported
+        monkeypatch.delitem(sys.modules, runs, raising=False)
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module(module, run_name="__main__")
+        got = capsys.readouterr()
+        assert (exc.value.code, got.out, got.err) == want
 
 
 class TestReadme:

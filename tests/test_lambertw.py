@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.special import lambertw as scipy_lambertw
 
 import starphase as sp
+from starphase import lambertw
 from starphase.lambertw import BRANCH_POINT
 
 #: the stiff-bound Lambert argument -2^(1/3) e^(-4/3) and its W0 value
@@ -147,6 +148,49 @@ class TestRoundTrip:
         w = sp.lambert_w(a)
         assert w >= -1.0
         assert abs(w * math.exp(w) - a) <= 1e-14 * max(abs(a), 1e-300)
+
+
+class TestGuards:
+    """The iteration's guards and the checks on its result, which no
+    argument reaches, run with a patched budget or iterate."""
+
+    def test_floats_next_to_the_branch_point(self):
+        # no seed or Halley iterate is exactly -1 here (its step divides
+        # by w + 1)
+        a = BRANCH_POINT
+        for _ in range(20_000):
+            a = math.nextafter(a, 0.0)
+            assert sp.lambert_w(a) >= -1.0 >= sp.lambert_w(a, -1)
+
+    @pytest.mark.parametrize("arg, branch", [(1.0, 0), (-0.2, -1),
+                                             (-1e-310, -1)])
+    def test_budget_runs_out(self, monkeypatch, arg, branch):
+        monkeypatch.setattr(lambertw, "_MAX_HALLEY", 0)
+        with pytest.raises(sp.ConvergenceError,
+                           match=f"failed to converge at {arg}"):
+            sp.lambert_w(arg, branch)
+
+    def test_zero_halley_denominator(self, monkeypatch):
+        # from w = -1e6, e^w underflows to 0 and the step's second term
+        # rounds to -0.0 at the smallest subnormal argument: a
+        # ConvergenceError, not a ZeroDivisionError
+        monkeypatch.setattr(lambertw, "_seed", lambda arg, branch: -1e6)
+        with pytest.raises(sp.ConvergenceError, match="failed to converge"):
+            sp.lambert_w(5e-324)
+
+    @pytest.mark.parametrize("branch, w", [(0, -1.0 - 2e-6),
+                                           (-1, -1.0 + 2e-6)])
+    def test_iterate_on_the_other_branch(self, monkeypatch, branch, w):
+        monkeypatch.setattr(lambertw, "_halley", lambda arg, seed: w)
+        with pytest.raises(sp.ConvergenceError,
+                           match="slid onto the other branch"):
+            sp.lambert_w(-0.3, branch)
+
+    @pytest.mark.parametrize("branch, w", [(0, -1.0 - 1e-9),
+                                           (-1, -1.0 + 1e-9)])
+    def test_round_off_at_the_seam_is_clamped(self, monkeypatch, branch, w):
+        monkeypatch.setattr(lambertw, "_halley", lambda arg, seed: w)
+        assert sp.lambert_w(-0.3, branch) == -1.0
 
 
 class TestLowerBranchSubnormal:

@@ -178,6 +178,29 @@ class TestNonFiniteInput:
         assert np.all(np.isfinite(NON_FINITE_CALLS[name](each_model, arg)))
 
 
+#: the array entry points, each given an empty x and y
+EMPTY_CALLS = {
+    "H": lambda m, e: sp.H(m, e),
+    "lyapunov_value": lambda m, e: sp.lyapunov_value(m, e, e),
+    "lyapunov_gradient": lambda m, e: sp.lyapunov_gradient(m, e, e),
+    "lyapunov_derivative": lambda m, e: sp.lyapunov_derivative(m, e, e),
+    "eval_field": lambda m, e: sp.eval_field(m, e, e),
+    "r_factor": lambda m, e: sp.r_factor(m, e),
+    "isocline_x": lambda m, e: sp.isocline_x(m, e),
+}
+
+
+class TestEmptyInput:
+    """Empty arrays give empty results; lyapunov_value raised numpy's
+    zero-size reduction error."""
+
+    @pytest.mark.parametrize("name", list(EMPTY_CALLS))
+    def test_empty_in_empty_out(self, models, name):
+        out = EMPTY_CALLS[name](models["stiff"], np.array([]))
+        for part in out if isinstance(out, tuple) else (out,):
+            assert np.shape(part) == (0,)
+
+
 class TestLevelSetGrid:
     def test_matches_pointwise_values(self, models):
         m = models["stiff"]

@@ -56,6 +56,11 @@ class TestModelSpec:
         with pytest.raises(ValueError):
             sp.ModelSpec(sp.Family.STIFF_RELATIVISTIC, kappa=0.5)
 
+    def test_scale_only_for_scaled_family(self):
+        with pytest.raises(ValueError, match="scale is only meaningful for "
+                                             "the scaled family"):
+            sp.ModelSpec("stiff", scale=2.0)
+
     @pytest.mark.parametrize("scale", [0.0, -1.0])
     def test_scale_positive(self, scale):
         with pytest.raises(ValueError):
@@ -389,6 +394,25 @@ class TestSignTestVerification:
         with pytest.raises(sp.HypothesisError,
                            match=f"closed form {name}={v!r}"):
             FINDERS[name](bad)
+
+    def test_ordering_violation_on_a_hand_built_model(self, models):
+        # w passes its sign test, but z = 0.9 w lies below it
+        base = models["stiff"]
+        bad = dataclasses.replace(base, z=0.9 * base.w)
+        for check in (sp.find_w, sp.bound_X):
+            with pytest.raises(sp.HypothesisError,
+                               match=r"ordering \(a0\+1\)w > z >= w > 0 "
+                                     "violated") as err:
+                check(bad)
+            assert err.value.point == (base.w, 0.9 * base.w)
+
+    def test_negative_r_at_z_on_a_hand_built_model(self, models):
+        base = models["stiff"]
+        bad = dataclasses.replace(base, r=lambda x: -base.r(x))
+        with pytest.raises(sp.HypothesisError,
+                           match=r"r\(z\) = -6.0 is negative") as err:
+            sp.equilibrium(bad)
+        assert err.value.point == (0.5, 0.5)
 
     def test_wrong_z_on_a_hand_built_model(self, models):
         bad = dataclasses.replace(models["stiff"], z=0.4)

@@ -203,6 +203,14 @@ class TestErrors:
         assert rootfind.brentq(lambda x: x - 2.0, 1.0, 2.0) == 2.0
 
 
+class TestExpandBracketZero:
+    def test_exact_zero_at_a_probe_is_returned(self):
+        # the first probe, 1 - (1 - 0.5)/2 = 0.75, is the root itself
+        assert rootfind.expand_bracket(lambda x: x - 0.75, 0.5, 1.0) \
+            == (0.75, 0.75)
+        assert rootfind.solve_bracketed(lambda x: x - 0.75, 0.5, 1.0) == 0.75
+
+
 class TestExpandBracketNaN:
     def test_nan_probe_is_not_read_as_no_sign_change(self):
         # negative up to 0.7 and NaN beyond: read as "not positive", the

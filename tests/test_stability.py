@@ -157,6 +157,19 @@ class TestJacobianFD:
         with pytest.raises(sp.DomainError):
             sp.jacobian_fd(models["stiff"], 1.0 - 1e-12, 0.5)
 
+    # the oracle returned a NaN matrix for a NaN x, y or h, and divided by
+    # zero at h = 0
+    @pytest.mark.parametrize("x, y", [(math.nan, 0.5), (0.5, math.nan),
+                                      (-math.inf, 0.5), (0.5, math.inf)])
+    def test_rejects_a_non_finite_point(self, models, x, y):
+        with pytest.raises(sp.DomainError, match="is not finite"):
+            sp.jacobian_fd(models["stiff"], x, y)
+
+    @pytest.mark.parametrize("h", [0.0, -1e-5, math.nan, math.inf])
+    def test_rejects_a_step_outside_zero_to_inf(self, models, h):
+        with pytest.raises(ValueError, match=r"h must lie in \(0, inf\)"):
+            sp.jacobian_fd(models["stiff"], 0.5, 0.5, h=h)
+
     @pytest.mark.parametrize("scale", [1e9, 1e12])
     def test_pole_test_is_relative(self, scale):
         # an absolute x + h >= x_max - 1e-9 refused every stencil of a

@@ -18,7 +18,7 @@ from starphase.bounds import closed_form_X
 from starphase.trajectory import IntegratorConfig
 
 from conftest import (FAMILY_ARGS, ORBIT_DRAWS, count_root_solves,
-                      drawn_models, orbit_case, wide_scales)
+                      drawn_models, orbit_case, raised_a_model, wide_scales)
 
 # scipy DOP853 oracle values (rtol 1e-11), frozen
 ORACLE_MAX_X = {
@@ -377,6 +377,21 @@ class TestTrapRegion:
                 got = float(bad.a_prime(x)) - float(bad.b_prime(x)) * y
                 assert got == max(conds)
 
+    def test_line_failure_names_the_worst_point(self, models):
+        # a raised by 20 x left of w/2: on y = 3 x, dy/dx - 3 is about
+        # 3 x (20 + ...) > 0 there, while the diagonal and the slope fact
+        # hold
+        base = models["stiff"]
+        m, n = raised_a_model(base), 100
+        xs = np.linspace(base.w / n, base.w, n)
+        dx, dy = sp.eval_field(m, xs, 3.0 * xs)
+        margins = dy / dx - 3.0
+        i = int(np.argmax(margins))
+        rep = sp.check_trap_region(m, n)
+        assert rep.passed is False and rep.line_margin == margins[i] > 1.0
+        assert rep.violation == ("line", xs[i], 3.0 * xs[i])
+        assert rep.isocline_monotone is True
+
     def test_nan_line_margin_is_a_violation(self, models):
         # a NaN margin failed no comparison: passed was False with no
         # violation to show; a NaN dy is now refused where the field is
@@ -599,6 +614,14 @@ class TestConfig:
     def test_positivity_validation(self, field, value):
         with pytest.raises(ValueError):
             IntegratorConfig(**{field: value})
+
+    def test_max_time_below_the_step_floor(self, models):
+        # cut to max_time, the first h lay below the step floor 1e-14 and
+        # the shoot ended as domain_exit, inside the domain
+        traj = sp.shoot_heteroclinic(models["stiff"],
+                                     IntegratorConfig(max_time=1e-20))
+        assert traj.status == "max_time" and not traj.converged
+        assert traj.steps == 1 and traj.t[-1] == 1e-20
 
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     def test_non_finite_max_time_rejected(self, value):
