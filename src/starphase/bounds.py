@@ -64,16 +64,14 @@ def excess_E(m: SystemModel) -> float:
 def invert_H(m: SystemModel, level: float) -> float:
     """The unique x >= z with H(x) = level.
 
-    H is strictly increasing on [z, x_max), so a bracketed root search
-    suffices; its right bracket end walks toward ``m.x_end``
-    (geometrically for an unbounded domain, halving the gap otherwise),
-    where H is still defined.  Every probe lies in [z, x_end), so H's
-    domain check is made once, at z.  The solve's tolerance is ROOT_XTOL
-    x_max (ROOT_XTOL for ``nonrel``).  It runs in u = x 2^k on the
-    objective (H - level) 2^k, with 1 <= 2^k x_max < 2: exact factors
-    that leave Brent's iterates as they are while every f, dx and slope
-    is of order 1, so that its products neither overflow nor underflow
-    on a member of any scale.
+    H is increasing and convex on [z, x_max), with H' = z b - a, so
+    one call of ``rootfind.solve_bracketed`` on H - level with that
+    derivative finds it, by Newton from the right end of a bracket that
+    walks toward ``m.x_end`` (geometrically for an unbounded domain,
+    halving the gap otherwise), where H is still defined.  Every probe
+    lies in [z, x_end), so H's domain check is made once, at z.  The
+    solve's tolerance is ROOT_XTOL x_max (ROOT_XTOL for ``nonrel``), and
+    a member of any scale needs no rescaling.
 
     Raises
     ------
@@ -81,26 +79,22 @@ def invert_H(m: SystemModel, level: float) -> float:
         For z outside the domain, for NaN and negative levels, where H
         overflows to NaN near x_max, or for a level above H(x_end).
     ConvergenceError
-        When brentq's budget runs out on a bracket.
+        When the Newton solve's budget runs out on a bracket.
     """
-    H, z, x_max, x_end = m.H, m.z, m.x_max, m.x_end
+    H, a, b, z, x_max, x_end = m.H, m.a, m.b, m.z, m.x_max, m.x_end
     if not 0.0 <= z < x_end:
         m.check_x(z)
     if level != level:
         raise DomainError(f"H level must be a number, got {level}")
     if level < 0.0:
         raise DomainError("H levels are nonnegative on [z, x_max)")
-    ell = x_max if x_max < math.inf else 1.0
-    k = 1 - math.frexp(ell)[1]
-    up, down = math.ldexp(1.0, k), math.ldexp(1.0, -k)
     try:
-        u = rootfind.solve_bracketed(lambda u: (H(u * down) - level) * up,
-                                     z * up, x_end * up,
-                                     rootfind.ROOT_XTOL * ell * up)
-        return u * down
+        return rootfind.solve_bracketed(
+            lambda x: H(x) - level, lambda x: z * b(x) - a(x), z, x_end,
+            rootfind.ROOT_XTOL * (x_max if x_max < math.inf else 1.0))
     except ConvergenceError:
         sup = H(x_end) if x_end < math.inf else math.inf
-        if not sup < level:  # the walk found a bracket; brentq gave up
+        if not sup < level:  # the walk found a bracket; Newton gave up
             raise
         raise DomainError(
             f"level {level} unreachable below x_max (sup H ~ {sup})") from None
@@ -138,8 +132,8 @@ def check_hypotheses(m: SystemModel, n: int = 200) -> None:
     ordering, the tangent-line inequality below w, and the isocline slope
     condition on the rectangle [w, z] x [z, (a0+1) w].
 
-    Every model gets the checks of n (an integer, at least 1) and of
-    a(0) > 0, and ``find_w``'s sign test of w with its ordering
+    Every model gets the checks of n (an integer in [1, MAX_SAMPLES])
+    and of a(0) > 0, and ``find_w``'s sign test of w with its ordering
     (a0 + 1) w > z >= w > 0.  For a model that ``make_model`` built
     (``SystemModel.built_in``) the r sample's largest abscissa hi =
     0.95 x_max (4 z for ``nonrel``) lies below ``m.x_end``, and the
@@ -158,7 +152,8 @@ def check_hypotheses(m: SystemModel, n: int = 200) -> None:
 
     Raises HypothesisError naming the failing condition and a witness,
     DomainError when the r sample leaves [0, x_end), TypeError for an n
-    that is not an integer and ValueError for n below 1.
+    that is not an integer and ValueError for n below 1 or above
+    MAX_SAMPLES, before anything is allocated.
     """
     n = _sample_count(n)
     if m.a0 <= 0.0:
@@ -198,11 +193,19 @@ def check_hypotheses(m: SystemModel, n: int = 200) -> None:
         raise HypothesisError(f"a' - b' y < 0 fails at {point}", point=point)
 
 
+#: most samples n that ``check_hypotheses`` and ``check_trap_region`` take;
+#: like ``lyapunov.MAX_GRID_NODES``, it bounds the arrays they allocate
+MAX_SAMPLES = 10 ** 6
+
+
 def _sample_count(n) -> int:
-    """n as a sample count: TypeError unless an integer, ValueError below 1."""
+    """n as a sample count: TypeError unless an integer, ValueError below
+    1 or above MAX_SAMPLES."""
     n = operator.index(n)
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
+    if n > MAX_SAMPLES:
+        raise ValueError(f"n = {n} is above MAX_SAMPLES = {MAX_SAMPLES}")
     return n
 
 
@@ -234,8 +237,8 @@ class BoundReport:
     w: float
     E: float
     X_numeric: float
-    X_closed: float | None
-    agreement: float | None
+    X_closed: float
+    agreement: float
 
     def to_dict(self) -> dict:
         return {

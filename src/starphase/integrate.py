@@ -132,14 +132,14 @@ def integrate_adaptive(field, t0: float, y0, max_time: float, *,
     status = FINISHED
     steps = 0
     rejected = 0
-    h_min_floor = 1e-14 * max(1.0, abs(max_time))
 
     while t < max_time:
         if steps >= max_steps:
             status = MAX_STEPS
             break
-        # the floor judges h before its cut to max_time; a NaN h passes
-        if h < h_min_floor:
+        # the floor 1e-14 max(1, |t|), the resolution of the step's start,
+        # judges h before its cut to max_time; a NaN h passes
+        if h < 1e-14 * (t if t > 1.0 else -t if t < -1.0 else 1.0):
             status = DOMAIN_EXIT
             break
         if max_time - t < h:

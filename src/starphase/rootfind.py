@@ -1,18 +1,11 @@
-"""Bracketed scalar root finding: geometric bracket expansion + Brent.
+"""Bracketed scalar root finding: geometric bracket expansion + Newton.
 
-:func:`brentq` is Brent's method (R. P. Brent, *Algorithms for
-Minimization without Derivatives*, 1973, ch. 4), a line-for-line port
-of scipy's ``brentq.c``: the same ``rtol = 4 eps``, the same
-interpolate / extrapolate / bisect tests, the same minimum step
-``delta`` and the same early returns on ``f == 0``, so it returns
-scipy's root bit for bit.  Each objective value is converted with
-``float(f(x))`` once per evaluation, so the arithmetic runs on Python
-floats even when the objective returns numpy scalars.  The budget of
-``maxiter`` iterations (one evaluation each, after the two end points)
-raises :class:`ConvergenceError` when it runs out.
-
-:func:`expand_bracket` adds the bracket search tailored to functions
-defined on ``(0, x_max)`` with a possible pole at the right endpoint.
+:func:`expand_bracket` finds a sign change of a function defined on
+``(lo, x_max)`` with a possible pole at the right endpoint, and
+:func:`solve_bracketed` runs Newton's method inside that bracket.  Each
+objective value is converted with ``float(f(x))`` once per evaluation,
+so the arithmetic runs on Python floats even when the objective returns
+numpy scalars.
 """
 
 from __future__ import annotations
@@ -21,93 +14,22 @@ import math
 
 from .errors import ConvergenceError
 
-#: brentq's absolute tolerance at length scale 1; its relative one is ROOT_RTOL
+#: the solve's absolute tolerance on x at length scale 1
 ROOT_XTOL = 1e-14
-
-#: relative tolerance of brentq, scipy's minimum: 4 machine epsilons
-ROOT_RTOL = 4 * 2.220446049250313e-16
 
 _MAX_EXPAND = 200
 
+#: evaluations that ``solve_bracketed`` may make after the bracket walk
+_MAX_NEWTON = 100
+
 
 def _value(f, x: float) -> float:
-    """``float(f(x))``, rejecting NaN as scipy's ``brentq`` does."""
+    """``float(f(x))``, rejecting NaN."""
     fx = float(f(x))
     if fx != fx:
         raise ValueError(
             f"The function value at x={x:.6g} is NaN; solver cannot continue.")
     return fx
-
-
-def brentq(f, a: float, b: float, xtol: float = ROOT_XTOL,
-           maxiter: int = 100) -> float:
-    """Root of ``f`` in the bracket ``[a, b]`` by Brent's method.
-
-    Raises
-    ------
-    ValueError
-        If ``xtol <= 0``, ``f`` returns NaN, or ``f(a)`` and ``f(b)``
-        have the same sign.
-    ConvergenceError
-        If the root is not within tolerance after ``maxiter`` iterations.
-    """
-    if not xtol > 0.0:
-        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
-    xpre, xcur = float(a), float(b)
-    fpre = _value(f, xpre)
-    fcur = _value(f, xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-
-        delta = (xtol + ROOT_RTOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:
-                    # interpolate
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:
-                    # extrapolate
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) \
-                        / (dblk * dpre * (fblk - fpre))
-            except ZeroDivisionError:
-                # in C the step is then inf or nan, which fails the
-                # short-step test below and bisects
-                stry = math.inf
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                # good short step
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = _value(f, xcur)
-    raise ConvergenceError(
-        f"brentq failed to converge after {maxiter} iterations, "
-        f"value is {xcur!r}")
 
 
 def expand_bracket(f, lo: float, x_max: float):
@@ -152,9 +74,56 @@ def expand_bracket(f, lo: float, x_max: float):
         f"no sign change of objective found on ({lo}, {x_max})")
 
 
-def solve_bracketed(f, lo: float, x_max: float, xtol: float = ROOT_XTOL) -> float:
-    """Root of ``f`` on ``(lo, x_max)``, found by bracket expansion + brentq."""
+def solve_bracketed(f, df, lo: float, x_max: float,
+                    xtol: float = ROOT_XTOL) -> float:
+    """Root of ``f`` on ``(lo, x_max)``: ``expand_bracket``, then Newton
+    with derivative ``df`` from the bracket's upper end.
+
+    Every evaluation narrows the bracket to the side where ``f`` changes
+    sign.  A step whose Newton point is not inside the bracket bisects it
+    instead, which covers a ``df`` that is zero, not finite or of the
+    wrong sign; for an increasing convex ``f``, such as ``H - level`` of
+    the bound, the Newton points descend onto the root inside it.  A
+    step shorter than ``xtol`` ends the solve, its point unevaluated;
+    after a Newton step that short the error is of order its square.
+    The Newton point is (x f' - f)/f' rather than x - f/f': a step
+    multiplies no two values, so an objective of any scale needs no
+    rescaling, and its operands scale with x, so the root of
+    f(x 2^j) 2^-j is the root of f times 2^-j bit for bit while x f' is
+    a normal float, also where f is subnormal.
+
+    Raises
+    ------
+    ValueError
+        For ``xtol <= 0``, from ``expand_bracket``, or when ``f`` is NaN
+        at an iterate.
+    ConvergenceError
+        From ``expand_bracket``, or when ``_MAX_NEWTON`` evaluations do
+        not reach a step shorter than ``xtol``.
+    """
+    if not xtol > 0.0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
     a, b = expand_bracket(f, lo, x_max)
     if a == b:
         return a
-    return brentq(f, a, b, xtol=xtol)
+    x, fx = b, _value(f, b)  # expand_bracket returns no values
+    up = fx > 0.0
+    for _ in range(_MAX_NEWTON):
+        d = float(df(x))
+        t = (x * d - fx) / d if d else math.nan
+        # a step shorter than xtol stands where rounding puts its point
+        # just outside the bracket
+        if not (abs(t - x) <= xtol or a < t < b):
+            t = a + (b - a) / 2
+        if abs(t - x) <= xtol:
+            return t
+        x, fx = t, _value(f, t)
+        if fx == 0.0:
+            return x
+        if (fx > 0.0) == up:
+            b = x
+        else:
+            a = x
+    raise ConvergenceError(
+        f"Newton solve failed to converge after {_MAX_NEWTON} evaluations, "
+        f"value is {x!r}")

@@ -87,12 +87,15 @@ def jacobian_fd(m: SystemModel, x: float, y: float, h: float = 1e-5) -> np.ndarr
     poke marginally below x = 0 or y = 0 (the coefficient functions are
     analytic there); only the pole side, x + h < x_end, is enforced.
     Raises DomainError for a non-finite x or y and ValueError for an h
-    outside (0, inf).
+    outside (0, inf) or one that x +- h or y +- h rounds away.
     """
     if not cmath.isfinite(complex(x, y)):
         raise DomainError(f"(x, y) = ({x!r}, {y!r}) is not finite")
     if not 0.0 < h < math.inf:
         raise ValueError(f"h must lie in (0, inf), got {h!r}")
+    if x + h == x or x - h == x or y + h == y or y - h == y:
+        raise ValueError(f"h = {h!r} is below the resolution of "
+                         f"(x, y) = ({x!r}, {y!r})")
     if x + h >= m.x_end:
         raise DomainError("finite-difference stencil crosses the pole")
 

@@ -63,6 +63,7 @@ before the log: there V is far above any threshold.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,6 +82,7 @@ class IntegratorConfig:
     eps_start is the launch offset along the unstable eigenvector and
     must be small against z; converge_radius and v_threshold are the two
     alternative arrival criteria (ball around (z, z), Lyapunov floor).
+    max_steps is an integer (TypeError otherwise) of at least 1.
     """
 
     eps_start: float = 1e-6
@@ -92,6 +94,7 @@ class IntegratorConfig:
     max_steps: int = 200_000
 
     def __post_init__(self):
+        operator.index(self.max_steps)  # TypeError for nan, inf and 2.5
         for name in ("eps_start", "rel_tol", "abs_tol", "converge_radius",
                      "v_threshold", "max_time", "max_steps"):
             if getattr(self, name) <= 0:
@@ -299,7 +302,8 @@ def check_trap_region(m: SystemModel, n: int = 1000,
     (``bounds._slope_witness``).  A NaN margin is a violation: ``passed``
     is ``violation is None``.  Raises ``eval_field``'s DomainError where
     dy overflows (``scaled`` below a scale of about 1e-308), TypeError for
-    an n that is not an integer, ValueError for n below 1 or a NaN tol.
+    an n that is not an integer, ValueError for n below 1 or above
+    ``bounds.MAX_SAMPLES`` or a NaN tol.
     """
     n = _sample_count(n)
     if tol != tol:

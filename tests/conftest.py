@@ -56,7 +56,7 @@ def drawn_models():
 #: scales that ``wide_scales`` always tries: two whose x_max overflows
 #: (``ModelSpec`` refuses them), the smallest it accepts, one where H
 #: overflows near x_max and one where it just does not, two ordinary
-#: ones, two where brentq's steps underflowed before ``invert_H`` scaled
+#: ones, two where Brent's steps underflowed before ``invert_H`` scaled
 #: its objective, one where r(z) = 6 s overflows, the largest it accepts,
 #: one whose c = 3 s overflows and the largest finite double (refused)
 SCALE_EDGES = (1e-310, 5.562684646268003e-309, 5.56268464626801e-309,
@@ -133,16 +133,52 @@ def raised_a_model(base):
 
 
 def count_root_solves(monkeypatch):
-    """Count the brentq calls made through ``starphase.rootfind``."""
+    """Count the ``solve_bracketed`` calls made through
+    ``starphase.rootfind``."""
     calls = [0]
-    original = rootfind.brentq
+    original = rootfind.solve_bracketed
 
     def counting(*args, **kwargs):
         calls[0] += 1
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(rootfind, "brentq", counting)
+    monkeypatch.setattr(rootfind, "solve_bracketed", counting)
     return calls
+
+
+#: ulps by which ``invert_H`` may differ from ``machine_root`` on the
+#: same bracket
+X_ULPS = 15
+
+
+def ulps(a, b):
+    """How many doubles lie from ``a`` to ``b``, both finite with the same
+    sign."""
+    return abs(int(np.float64(a).view(np.int64))
+               - int(np.float64(b).view(np.int64)))
+
+
+def machine_root(f, lo, x_max):
+    """Root of ``f`` on the bracket that ``rootfind.expand_bracket`` finds
+    on (lo, x_max), by scipy's brentq at machine precision: xtol is the
+    smallest double and rtol scipy's least, 4 eps."""
+    from scipy.optimize import brentq
+    a, b = rootfind.expand_bracket(f, lo, x_max)
+    return a if a == b else brentq(f, a, b, xtol=5e-324, maxiter=1000)
+
+
+def near_machine_root(m, got, want):
+    """Whether an H inversion ``got`` of member ``m`` is as accurate as
+    its objective allows, against the ``machine_root`` ``want``: within
+    X_ULPS ulps, or within 8 eps ell / H'(want), the rounding eps ell of
+    H's terms (ell = x_max, 1 for ``nonrel``) mapped through the slope
+    H' = z b - a, where the level lies near z or H's terms are large
+    against x."""
+    if ulps(got, want) <= X_ULPS:
+        return True
+    ell = m.x_max if m.x_max < math.inf else 1.0
+    slope = m.z * m.b(want) - m.a(want)
+    return abs(got - want) * slope <= 8.0 * 2.0 ** -52 * ell
 
 
 def random_domain_points(m, n, seed=0):

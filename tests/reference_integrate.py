@@ -91,14 +91,13 @@ def reference_integrate(field, t0: float, y0, max_time: float, *,
     status = FINISHED
     steps = 0
     rejected = 0
-    h_min_floor = 1e-14 * max(1.0, abs(max_time))
 
     while t < max_time:
         if steps >= max_steps:
             status = MAX_STEPS
             break
         h = min(h, max_time - t)
-        if h < h_min_floor:
+        if h < 1e-14 * max(1.0, abs(t)):
             status = DOMAIN_EXIT
             break
 

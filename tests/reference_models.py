@@ -11,7 +11,8 @@ the absolute band |x - z| < SINGULARITY_GUARD.  ``reference_check_hypotheses`` i
 quotient and built its grids with ``np.linspace``.
 ``reference_verified`` is ``models._verified`` as it was before the
 two-point sign test: a bracket walk from 1e-9 x_max and a Brent solve of
-the objective, compared with the closed form.  ``oracle_verification``
+the objective (scipy's, so that the oracle shares no solver with the
+package), compared with the closed form.  ``oracle_verification``
 routes ``find_z``, ``find_w`` and ``find_x0`` through it.  The three
 oracles are kept verbatim apart from their names, and the old root solve
 is split out as ``reference_root``.  ``reference_kappa_sweep`` is
@@ -24,13 +25,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from starphase import models
 from starphase.bounds import bound_X, kappa_constants
 from starphase.errors import HypothesisError
 from starphase.models import (VERIFY_TOL, Family, ModelSpec, SystemModel,
                               find_w, make_model)
-from starphase.rootfind import solve_bracketed
+from starphase.rootfind import ROOT_XTOL, expand_bracket
 
 #: |x - z| below this: the quotient switches to its derivative limit
 SINGULARITY_GUARD = 1e-7
@@ -107,8 +109,9 @@ def reference_check_hypotheses(m: SystemModel, n: int = 200) -> None:
 
 
 def reference_root(m: SystemModel, g) -> float:
-    """Root of ``g``: bracket walk from 1e-9 x_max, then Brent."""
-    return solve_bracketed(g, 1e-9 * min(1.0, m.x_max), m.x_max)
+    """Root of ``g``: bracket walk from 1e-9 x_max, then scipy's Brent."""
+    a, b = expand_bracket(g, 1e-9 * min(1.0, m.x_max), m.x_max)
+    return a if a == b else brentq(g, a, b, xtol=ROOT_XTOL)
 
 
 def reference_verified(m: SystemModel, name: str, value: float, g) -> float:

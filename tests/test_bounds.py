@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import brentq as scipy_brentq
 
 import starphase as sp
 from starphase import bounds, lyapunov, rootfind
@@ -17,7 +16,9 @@ from starphase.bounds import (STIFF_LAMBERT_ARG, check_hypotheses,
                               closed_form_X, kappa_sweep, sweep_to_csv)
 from starphase.models import SystemModel
 
-from conftest import count_root_solves, drawn_models, raised_a_model
+from conftest import (FAMILY_ARGS, X_ULPS, count_root_solves, drawn_models,
+                      machine_root, near_machine_root, raised_a_model, ulps,
+                      wide_scales)
 from reference_models import (reference_check_hypotheses,
                               reference_kappa_sweep)
 
@@ -45,20 +46,24 @@ def bisect_level(m, level, lo, hi, iters=200):
     return 0.5 * (lo + hi)
 
 
-def reference_invert_H(m, level):
+def checked_invert_H(m, level):
     """``invert_H``'s solve on the checked objective H(m, x) - level that
-    it replaced, kept as the bit-for-bit oracle: the package's bracket
-    walk, then scipy's brentq with the tolerance ROOT_XTOL x_max
-    (ROOT_XTOL for ``nonrel``), so the oracle does not share the solver
-    under test."""
-    def f(x):
-        return sp.H(m, x) - level
-
-    a, b = rootfind.expand_bracket(f, m.z, m.x_end)
-    if a == b:
-        return a
+    its unchecked ``m.H`` replaced: the two objectives agree bit for bit,
+    so the two solves must too."""
     scale = m.x_max if math.isfinite(m.x_max) else 1.0
-    return scipy_brentq(f, a, b, xtol=rootfind.ROOT_XTOL * scale)
+    return rootfind.solve_bracketed(
+        lambda x: sp.H(m, x) - level, lambda x: m.z * m.b(x) - m.a(x),
+        m.z, m.x_end, rootfind.ROOT_XTOL * scale)
+
+
+def assert_inverts(m, level):
+    """``invert_H`` equals the solve on the checked objective bit for bit
+    and is ``near_machine_root`` of scipy's machine-precision root, the
+    accuracy oracle that shares no solver with the package."""
+    got = sp.invert_H(m, level)
+    assert got == checked_invert_H(m, level)
+    want = machine_root(lambda x: sp.H(m, x) - level, m.z, m.x_end)
+    assert near_machine_root(m, got, want), (got, want)
 
 
 def mesh_slope_check(m, n):
@@ -257,23 +262,39 @@ class TestInvertH:
 
     @pytest.mark.parametrize("frac", [0.0, 1e-6, 0.05, 0.7, 1.0])
     def test_bit_identical_to_checked_objective(self, each_model, frac):
-        m = each_model
-        level = frac * sp.excess_E(m)
-        assert sp.invert_H(m, level) == reference_invert_H(m, level)
+        assert_inverts(each_model, frac * sp.excess_E(each_model))
 
     @settings(max_examples=60, deadline=None)
     @given(e=st.floats(-3.0, 3.0), frac=st.floats(0.0, 1.0))
     def test_scaled_bit_identical_to_checked_objective(self, e, frac):
         m = sp.model("scaled", scale=10.0 ** e)
-        level = frac * sp.excess_E(m)
-        assert sp.invert_H(m, level) == reference_invert_H(m, level)
+        assert_inverts(m, frac * sp.excess_E(m))
 
     @settings(max_examples=60, deadline=None)
     @given(e=st.floats(-3.0, 0.0), frac=st.floats(0.0, 1.0))
     def test_kappa_bit_identical_to_checked_objective(self, e, frac):
         m = sp.model("kappa", kappa=10.0 ** e)
-        level = frac * sp.excess_E(m)
-        assert sp.invert_H(m, level) == reference_invert_H(m, level)
+        assert_inverts(m, frac * sp.excess_E(m))
+
+    @settings(max_examples=150, deadline=None)
+    @given(m=st.one_of(
+        st.sampled_from(list(FAMILY_ARGS)).map(
+            lambda name: sp.model(name, **FAMILY_ARGS[name])),
+        st.floats(0.02, 1.0).map(lambda k: sp.model("kappa", kappa=k)),
+        st.floats(-1.0, 3.0).map(
+            lambda e: sp.model("scaled", scale=10.0 ** e)),
+        wide_scales().filter(
+            lambda s: 1e-307 <= s <= 5.992310449541052e307).map(
+            lambda s: sp.model("scaled", scale=s))))
+    def test_X_within_ulps_of_the_machine_precision_root(self, m):
+        # the presets, the benchmark's kappa in [0.02, 1] and scale in
+        # [0.1, 1e3], and the scales from where H stops overflowing to
+        # the largest accepted (12 ulps at 5.99e307, where b overflows
+        # and every step bisects); Brent at ROOT_XTOL x_max was 56 ulps
+        # off at kappa 0.02
+        E = sp.excess_E(m)
+        want = machine_root(lambda x: sp.H(m, x) - E, m.z, m.x_end)
+        assert ulps(sp.invert_H(m, E), want) <= X_ULPS
 
     def test_bound_makes_no_H_calls(self, each_model, monkeypatch):
         calls = [0]
@@ -289,7 +310,7 @@ class TestInvertH:
             monkeypatch.setattr(module, "H", counting)
         rep = sp.bound_X(each_model)
         assert calls[0] == 0
-        assert rep.X_numeric == reference_invert_H(each_model, rep.E)
+        assert rep.X_numeric == checked_invert_H(each_model, rep.E)
 
     def test_z_outside_domain_rejected(self, models):
         # H's domain check, made once at the left bracket end
@@ -299,7 +320,7 @@ class TestInvertH:
         assert_matches_reference(bad)
 
     def test_nan_level_rejected(self, models):
-        # it passed the sign check and failed inside brentq on a NaN value
+        # it passed the sign check and failed inside Brent on a NaN value
         with pytest.raises(sp.DomainError, match="H level must be a number, "
                                                  "got nan"):
             sp.invert_H(models["stiff"], math.nan)
@@ -318,28 +339,28 @@ class TestInvertH:
 
     @pytest.mark.parametrize("scale", [5.6e-309, 6e-309, 1e-308])
     def test_overflowing_H_is_named(self, scale):
-        # H overflows to NaN near x_max ~ 1e308; brentq's NaN message
-        # named neither the overflow nor x_max
+        # H overflows to NaN near x_max ~ 1e308; the solver's NaN message
+        # names neither the overflow nor x_max
         m = sp.model("scaled", scale=scale)
         with pytest.raises(sp.DomainError, match=re.escape(
                 f"H overflows near x_max = {m.x_max:g}: ")):
             sp.invert_H(m, sp.excess_E(m))
 
-    def test_brentq_budget_on_a_found_bracket_is_raised(self, models,
+    def test_newton_budget_on_a_found_bracket_is_raised(self, models,
                                                         monkeypatch):
         # the level is reachable, so the budget's ConvergenceError is
         # raised as it is, not read as an unreachable level
-        m, brentq = models["stiff"], rootfind.brentq
-        monkeypatch.setattr(rootfind, "brentq",
-                            lambda *args, **kw: brentq(*args, **kw, maxiter=1))
+        m = models["stiff"]
+        monkeypatch.setattr(rootfind, "_MAX_NEWTON", 1)
         with pytest.raises(sp.ConvergenceError,
-                           match="brentq failed to converge after 1 "):
+                           match="Newton solve failed to converge after 1 "):
             sp.invert_H(m, sp.excess_E(m))
 
     def test_brentq_budget_is_not_unreachable(self, models):
-        # the level is reached at x_max / 1.44; brentq's steps f dx fell
-        # below the smallest normal double and its budget ran out, until
-        # the objective was scaled by 2^k ~ 1/x_max
+        # the level is reached at x_max / 1.44; the steps f dx of the
+        # Brent solve that preceded Newton fell below the smallest normal
+        # double and its budget ran out, until the objective was scaled by
+        # 2^k ~ 1/x_max
         s, stiff = 1e300, models["stiff"]
         m = sp.model("scaled", scale=s)
         got = sp.invert_H(m, sp.excess_E(m))
@@ -349,9 +370,10 @@ class TestInvertH:
     @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-3, 1.0, 1e3,
                                        1e160, 1e200, 1e300, 5e307])
     def test_H_calls_do_not_grow_with_scale(self, scale):
-        # stiff takes 12; solved in x, Brent's products underflowed or
-        # overflowed beyond about 1e153 and below 1e-155 and the same
-        # solve took 35 (41 at 5e307) and 22 H evaluations
+        # stiff takes 8, as at every scale here; Brent took 12, and in x
+        # without rescaling its products underflowed or overflowed beyond
+        # about 1e153 and below 1e-155 and it took 35 (41 at 5e307) and
+        # 22 H evaluations
         m, calls = sp.model("scaled", scale=scale), [0]
 
         def counting(x):
@@ -361,6 +383,16 @@ class TestInvertH:
         X = sp.invert_H(dataclasses.replace(m, H=counting), sp.excess_E(m))
         assert X == sp.invert_H(m, sp.excess_E(m))
         assert calls[0] <= 12
+
+    def test_member_at_a_power_of_two_is_stiff_shifted_bit_for_bit(
+            self, models):
+        # every scale 2^j that H does not overflow at: the walk, H, its
+        # slope and the Newton point (x f' - f)/f' all scale exactly
+        stiff = models["stiff"]
+        X = sp.invert_H(stiff, sp.excess_E(stiff))
+        for j in range(-1022, 1023):
+            m = sp.model("scaled", scale=math.ldexp(1.0, j))
+            assert sp.invert_H(m, sp.excess_E(m)) == math.ldexp(X, -j), j
 
     @pytest.mark.parametrize("e", [-3.0, 0.0, 3.0, 9.0, 12.0, 100.0, 159.0,
                                    200.0, 300.0])
@@ -592,6 +624,14 @@ class TestHypotheses:
         # n = 0 divided by zero; n = -3 passed on empty samples
         with pytest.raises(ValueError, match=f"n must be at least 1, got {n}"):
             check_hypotheses(models["stiff"], n)
+
+    def test_n_above_the_cap_rejected(self, models):
+        # n = 10**9 asked np.linspace for 8 GB per array; the marked and
+        # the sampled check both refuse it before they allocate
+        for m in (models["stiff"], dataclasses.replace(models["stiff"])):
+            with pytest.raises(ValueError, match=(
+                    f"n = {bounds.MAX_SAMPLES + 1} is above MAX_SAMPLES")):
+                check_hypotheses(m, bounds.MAX_SAMPLES + 1)
 
     @pytest.mark.parametrize("n", [2.5, 200.0, "200", None])
     def test_n_must_be_an_integer(self, models, n):

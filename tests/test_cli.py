@@ -203,7 +203,7 @@ class TestBound:
     @given(s=wide_scales())
     def test_scaled_bound_at_any_scale(self, s):
         # a bound that is stiff over s from the H floor up to the largest
-        # accepted scale (it exited 4 from about 1e159, as brentq's steps
+        # accepted scale (it exited 4 from about 1e159, as Brent's steps
         # underflowed), else exit 3 with one error line
         code, out, err = run_strict("bound", "--model", "scaled",
                                     "--scale", repr(s))
@@ -268,7 +268,10 @@ class TestBound:
                                       ["--sweep-kappa", "1e-308:1e-307:3"]])
     def test_kappa_whose_r_overflows_has_only_the_error(self, capsys, argv):
         # r = c/(1 - s x) of the hypotheses' r sample overflows to +inf
-        # here, with a numpy RuntimeWarning on stderr before the error
+        # here, with a numpy RuntimeWarning on stderr before the error.
+        # H's terms of order beta x ~ 1e308 x leave its values rounding
+        # noise against E ~ 1e-308, so X is any point of that noise where
+        # the solve ends (Brent ended at 4e-308)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run(capsys, "bound", "--model", "kappa", *argv)
@@ -276,7 +279,7 @@ class TestBound:
         prefix = "kappa = 1e-308 (row 1 of 3): " if "--sweep-kappa" in argv \
             else ""
         assert err == (f"error: {prefix}closed form X = 0.0 and H inversion "
-                       "X = 3.9999999999999996e-308 differ by 1 relative, "
+                       "X = 5.6012380100610845e-15 differ by 1 relative, "
                        "above CLOSED_FORM_TOL = 1e-09\n")
 
     def test_sweep_csv(self, capsys, tmp_path):
@@ -313,13 +316,14 @@ class TestBound:
 
     def test_sweep_csv_bytes_frozen(self, capsys, tmp_path):
         # SHA-256 of the CSV as written before the hypotheses of a sweep
-        # were checked in batches
+        # were checked in batches, with the X_numeric of the Newton solve
+        # (34 of its 40 rows moved by an ulp or a few from Brent's)
         path = tmp_path / "sweep.csv"
         code, _, _ = run(capsys, "bound", "--model", "kappa",
                          "--sweep-kappa", "0.02:1:40", "--out", str(path))
         assert code == 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "bbaebc61c7024f5fee26f799b267bc5f4edc0901520a10c34474eff99e29f92c")
+            "9f056195faa6a23b756075df6c86fd6f0d087f4b5bc8deeabef3930357d88c07")
 
     def test_sweep_ends_exactly_at_b(self, capsys, tmp_path):
         # lo + (hi - lo) * 44/44 is 1.0000000000000002 for this spec
@@ -472,6 +476,15 @@ class TestTrajectory:
         assert doc["status"] == "max_time" and doc["steps"] == 1
         assert err == ("shoot did not converge: status=max_time, last "
                        f"state={tuple(doc['final_state'])}\n")
+
+    def test_long_max_time_arrives(self, capsys):
+        # the step floor 1e-14 max(1, max_time) exceeded the first step:
+        # exit 3 with the launch point as the last state
+        code, out, _ = run(capsys, "trajectory", "--model", "stiff",
+                           "--max-time", "1e12")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["status"] == "converged-lyapunov" and doc["steps"] == 534
 
     def test_nonconvergence_exit_4(self, capsys):
         code, _, err = run(capsys, "trajectory", "--model", "stiff",

@@ -72,9 +72,8 @@ class TestControlFlow:
     @pytest.mark.parametrize("t0, max_time", [(0.0, 1e-20),
                                               (200.0 - 1e-12, 200.0)])
     def test_last_step_below_the_floor_finishes(self, t0, max_time):
-        # the floor 1e-14 max(1, max_time) judges the controller's h; the
-        # h cut to the time left lay below it, and the run ended as
-        # domain_exit
+        # the floor 1e-14 max(1, |t|) judges the controller's h; the h cut
+        # to the time left lay below it, and the run ended as domain_exit
         sol = integrate.integrate_adaptive(lambda x, y: (-x, -y), t0,
                                            [1.0, 1.0], max_time)
         assert sol.status == integrate.FINISHED

@@ -170,6 +170,13 @@ class TestJacobianFD:
         with pytest.raises(ValueError, match=r"h must lie in \(0, inf\)"):
             sp.jacobian_fd(models["stiff"], 0.5, 0.5, h=h)
 
+    @pytest.mark.parametrize("y, h", [(0.3, 1e-300), (1e12, 1e-5)])
+    def test_rejects_a_step_that_rounds_away(self, models, y, h):
+        # x +- h or y +- h rounded back to x or y, and the differences
+        # came back as a zero matrix
+        with pytest.raises(ValueError, match="below the resolution"):
+            sp.jacobian_fd(models["stiff"], 0.3, y, h=h)
+
     @pytest.mark.parametrize("scale", [1e9, 1e12])
     def test_pole_test_is_relative(self, scale):
         # an absolute x + h >= x_max - 1e-9 refused every stencil of a

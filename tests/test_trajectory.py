@@ -299,6 +299,12 @@ class TestTrapRegion:
         with pytest.raises(ValueError, match=f"n must be at least 1, got {n}"):
             sp.check_trap_region(models["stiff"], n)
 
+    def test_n_above_the_cap_rejected(self, models):
+        # n = 10**9 asked np.linspace for 8 GB per array
+        n = sp.bounds.MAX_SAMPLES + 1
+        with pytest.raises(ValueError, match=f"n = {n} is above MAX_SAMPLES"):
+            sp.check_trap_region(models["stiff"], n)
+
     def test_nan_tol_rejected(self, models):
         # every margin test against NaN failed: a silent passed=False
         with pytest.raises(ValueError, match="tol must be a number"):
@@ -614,6 +620,28 @@ class TestConfig:
     def test_positivity_validation(self, field, value):
         with pytest.raises(ValueError):
             IntegratorConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 2.5, 1e5])
+    def test_max_steps_that_is_no_integer_rejected(self, value):
+        # nan <= 0 is False, so max_steps=nan passed, and steps >= nan
+        # never fired: the step budget was off
+        with pytest.raises(TypeError):
+            IntegratorConfig(max_steps=value)
+
+    def test_integer_like_max_steps_accepted(self, models):
+        cfg = IntegratorConfig(max_steps=np.int64(3))
+        assert sp.shoot_heteroclinic(models["stiff"], cfg).steps == 3
+
+    @pytest.mark.parametrize("name", ["stiff", "nonrel", "scaled", "kappa"])
+    def test_long_max_time_changes_no_step(self, models, trajectories, name):
+        # the floor 1e-14 max(1, max_time) exceeded the first step from a
+        # max_time of about 1e12, and the shoot ended domain_exit at step
+        # 0; judged at the step's start time it is 1e-14 up to t = 1
+        for max_time in (1e12, 1e300):
+            traj = sp.shoot_heteroclinic(models[name],
+                                         IntegratorConfig(max_time=max_time))
+            assert traj.status == trajectories[name].status
+            assert traj.steps == trajectories[name].steps
 
     def test_max_time_below_the_step_floor(self, models):
         # cut to max_time, the first h lay below the step floor 1e-14 and
